@@ -53,11 +53,4 @@ object CountBound {
     val up  = math.min(1.0, hat + eps) * bigR
     math.max(math.max(1L, mV), math.ceil(up).toLong)
   }
-
-  /** Split a per-view error budget per Theorem 3: with total budget δ the
-    * AVG interval gets α·δ (α·δ/2 per side via [[ErrorBounder.interval]])
-    * and N⁺ gets (1−α)·δ. Returns (deltaForAvgInterval, deltaForNUpper).
-    */
-  def splitDelta(delta: Double, alpha: Double = DefaultAlpha): (Double, Double) =
-    (alpha * delta, (1.0 - alpha) * delta)
 }

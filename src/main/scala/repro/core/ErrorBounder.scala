@@ -9,12 +9,6 @@ final case class Interval(lo: Double, hi: Double) {
   def contains(x: Double): Boolean = lo <= x && x <= hi
 
   def intersects(o: Interval): Boolean = lo <= o.hi && o.lo <= hi
-
-  /** Intersection with another interval (running CI of Algorithm 5). */
-  def intersect(o: Interval): Interval =
-    Interval(math.max(lo, o.lo), math.min(hi, o.hi))
-
-  def midpoint: Double = (lo + hi) / 2
 }
 
 /** A sample-size-independent (SSI) range-based error bounder for AVG,

@@ -1,6 +1,6 @@
 package repro.fastframe
 
-import repro.core.{CountBound, Interval, MomentBounder, MomentState, OptStop}
+import repro.core.{Interval, MomentBounder}
 
 /** Sampling strategies of paper §4.3 / §5.2. */
 sealed trait Strategy
@@ -16,33 +16,28 @@ object Strategy {
 }
 
 /** Engine configuration. Defaults follow the paper's §5 setup: δ = 1e-15,
-  * bounds recomputed every B = 40 000 rows processed, α = 0.99 for the N⁺
-  * budget split, 1024-block lookahead batches.
+  * bounds recomputed every B = 40 000 rows processed.
   */
 final case class EngineConfig(
     bounder: MomentBounder,
     delta: Double = 1e-15,
     roundRows: Long = 40000L,
-    alpha: Double = CountBound.DefaultAlpha,
     strategy: Strategy = Strategy.ActivePeek,
-    startBlock: Int = 0,
-    lookaheadBlocks: Int = 1024) {
+    startBlock: Int = 0) {
   require(delta > 0 && delta < 1, "delta must be in (0,1)")
   require(roundRows > 0, "roundRows must be positive")
-  require(lookaheadBlocks % 64 == 0, "lookaheadBlocks must be a multiple of 64")
 }
 
 /** The FastFrame query engine: approximate AVG with SSI error bounds and
   * early termination (paper §4). One run performs at most one full pass
   * over the scramble, starting from `cfg.startBlock` and wrapping; groups
-  * whose view is fully covered become exact.
-  *
-  * δ accounting: the query budget δ is divided by the number of aggregate
-  * views (group-domain size), then decayed per recomputation round via
-  * [[OptStop.deltaAtRound]]; within a round, Theorem 3's α-split funds the
-  * online view-size upper bound N⁺, and the remainder the AVG interval.
+  * whose view is fully covered become exact. The δ accounting and the
+  * running intervals live in the [[ViewLedger]], one view per group.
   */
 object Engine {
+
+  /** ActivePeek lookahead batch, in blocks (a multiple of 64). */
+  private val LookaheadBlocks = 1024
 
   def run(scramble: Scramble, query: FrameQuery, cfg: EngineConfig): QueryRun = {
     val t0 = System.nanoTime()
@@ -53,93 +48,50 @@ object Engine {
     val totalRows  = scramble.numRows
     val numBlocks  = scramble.numBlocks
 
-    // Group-by machinery: gid = mixed-radix code over the group columns.
-    val gCols: Array[Array[Int]] = query.groupBy.map(c => scramble.store.cat(c).codes).toArray
-    val gDicts: Array[Array[String]] = query.groupBy.map(c => scramble.store.cat(c).dict).toArray
-    val gMaps: Array[BlockBitmap] = query.groupBy.map(scramble.bitmap).toArray
-    val gCards: Array[Int] = gDicts.map(_.length)
-    val numGroups: Int = gCards.foldLeft(1)(_ * _)
-    require(numGroups <= 1000000, s"group domain too large: $numGroups")
-    val deltaPerView = cfg.delta / numGroups
+    val codec     = new GroupCodec(scramble, query.groupBy)
+    val numGroups = codec.numGroups
+    val gMaps     = query.groupBy.map(scramble.bitmap).toArray
+    val ledger    = new ViewLedger(numGroups, cfg.bounder, a, b, cfg.delta, totalRows)
 
-    @inline def gidOf(row: Int): Int = {
-      var id = 0
-      var i  = 0
-      while (i < gCols.length) { id = id * gCards(i) + gCols(i)(row); i += 1 }
-      id
-    }
-
-    /** Per-column codes of a gid (inverse of the mixed-radix encoding). */
-    def codesOf(gid: Int): Array[Int] = {
-      val out = new Array[Int](gCards.length)
-      var rem = gid
-      var i   = gCards.length - 1
-      while (i >= 0) { out(i) = rem % gCards(i); rem /= gCards(i); i -= 1 }
-      out
-    }
-
-    // Welford moment state, one slot per group (primitive arrays for the
-    // per-row hot path; materialized to MomentState at round boundaries).
-    val mAr    = new Array[Long](numGroups)
-    val meanAr = new Array[Double](numGroups)
-    val m2Ar   = new Array[Double](numGroups)
-    val minAr  = Array.fill(numGroups)(Double.PositiveInfinity)
-    val maxAr  = Array.fill(numGroups)(Double.NegativeInfinity)
+    // Welford moment state, one slot per group, folded by the row loop.
+    val mAr    = ledger.m
+    val meanAr = ledger.mean
+    val m2Ar   = ledger.m2
+    val minAr  = ledger.min
+    val maxAr  = ledger.max
 
     // Activity / coverage bookkeeping (see DESIGN.md): a group's r for the
     // selectivity bound is the number of scramble rows passed while it was
     // active — those blocks were either fetched or provably view-empty.
     val active       = Array.fill(numGroups)(true)
-    val exact        = new Array[Boolean](numGroups)
     val activeSince  = new Array[Long](numGroups)
     val accumCovered = new Array[Long](numGroups)
-    val bestLo       = Array.fill(numGroups)(a)
-    val bestHi       = Array.fill(numGroups)(b)
     var activeList: Array[Int] = Array.tabulate(numGroups)(identity)
     // gid -> per-column codes for the active list (bitmap probe targets).
-    var activeCodes: Array[Array[Int]] = activeList.map(codesOf)
+    var activeCodes: Array[Array[Int]] = activeList.map(codec.codesOf)
 
     var coveredAll    = 0L
     var blocksFetched = 0L
     var rowsProcessed = 0L
     var bitmapProbes  = 0L
-    var round         = 0
     var done          = false
 
     @inline def coveredOf(g: Int): Long =
       accumCovered(g) + (if (active(g)) coveredAll - activeSince(g) else 0L)
 
-    def stateOf(g: Int): MomentState =
-      if (mAr(g) == 0) MomentState.empty
-      else MomentState(mAr(g), meanAr(g), m2Ar(g), minAr(g), maxAr(g))
-
     /** Recompute bounds at a round boundary and re-derive the active set. */
     def recompute(): Unit = {
-      round += 1
-      val deltaK = OptStop.deltaAtRound(deltaPerView, round)
+      ledger.nextRound()
       var g = 0
       while (g < numGroups) {
         val r = coveredOf(g)
-        if (r >= totalRows) {
-          exact(g) = true
-          if (mAr(g) > 0) { bestLo(g) = meanAr(g); bestHi(g) = meanAr(g) }
-        } else if (active(g)) {
-          val nPlus = CountBound.nUpper(mAr(g), r, totalRows, deltaK, cfg.alpha)
-          val iv    = cfg.bounder.interval(stateOf(g), a, b, nPlus, cfg.alpha * deltaK)
-          bestLo(g) = math.max(bestLo(g), iv.lo)
-          bestHi(g) = math.min(bestHi(g), iv.hi)
-          if (bestLo(g) > bestHi(g)) { // δ-failure artifact; collapse
-            val mid = (bestLo(g) + bestHi(g)) / 2
-            bestLo(g) = mid; bestHi(g) = mid
-          }
-        }
+        if (active(g) || r >= totalRows) ledger.update(g, r)
         g += 1
       }
-      val gbs = boundsSnapshot()
-      val nowActive = query.stop.activeGroups(gbs)
+      val nowActive = query.stop.activeGroups(ledger.snapshot())
       g = 0
       while (g < numGroups) {
-        val shouldBeActive = !exact(g) && nowActive.contains(g)
+        val shouldBeActive = !ledger.exact(g) && nowActive.contains(g)
         if (active(g) && !shouldBeActive) {
           accumCovered(g) += coveredAll - activeSince(g)
           active(g) = false
@@ -150,18 +102,12 @@ object Engine {
         g += 1
       }
       activeList = (0 until numGroups).filter(active).toArray
-      activeCodes = activeList.map(codesOf)
+      activeCodes = activeList.map(codec.codesOf)
       done = activeList.isEmpty
     }
 
-    def boundsSnapshot(): IndexedSeq[GroupBounds] =
-      (0 until numGroups).iterator
-        .filterNot(g => exact(g) && mAr(g) == 0) // fully-scanned empty views do not exist
-        .map(g => GroupBounds(g, mAr(g), meanAr(g), Interval(bestLo(g), bestHi(g)), exact(g)))
-        .toIndexedSeq
-
-    // ActivePeek lookahead mask over batches of cfg.lookaheadBlocks blocks.
-    val batchWords       = cfg.lookaheadBlocks >>> 6
+    // ActivePeek lookahead mask over batches of LookaheadBlocks blocks.
+    val batchWords       = LookaheadBlocks >>> 6
     val mask             = new Array[Long](batchWords)
     val tmpWords         = new Array[Long](batchWords)
     var maskBatch        = -1
@@ -169,20 +115,20 @@ object Engine {
     def ensureMask(batchId: Int): Unit = {
       if (maskBatch == batchId) return
       maskBatch = batchId
-      val from = batchId * cfg.lookaheadBlocks
+      val from = batchId * LookaheadBlocks
       if (gMaps.isEmpty) { java.util.Arrays.fill(mask, -1L); return }
       java.util.Arrays.fill(mask, 0L)
       var i = 0
       while (i < activeList.length) {
         val codes = activeCodes(i)
         if (gMaps.length == 1) {
-          gMaps(0).orInto(codes(0), from, cfg.lookaheadBlocks, mask)
+          gMaps(0).orInto(codes(0), from, LookaheadBlocks, mask)
           bitmapProbes += batchWords
         } else {
           java.util.Arrays.fill(tmpWords, -1L)
           var c = 0
           while (c < gMaps.length) {
-            gMaps(c).andInto(codes(c), from, cfg.lookaheadBlocks, tmpWords)
+            gMaps(c).andInto(codes(c), from, LookaheadBlocks, tmpWords)
             bitmapProbes += batchWords
             c += 1
           }
@@ -218,7 +164,10 @@ object Engine {
     var step        = 0
     while (step < numBlocks && !done) {
       val blk = (cfg.startBlock + step) % numBlocks
-      val (start, end) = scramble.blockRows(blk)
+      // Block bounds as plain ints: a tuple per block is only removed when
+      // the JIT's escape analysis happens to cover this loop.
+      val start = blk * scramble.blockSize
+      val end   = math.min(totalRows, start + scramble.blockSize)
 
       val filterOk =
         if (pred.hasBlockPrunes) { bitmapProbes += 1; pred.blockMayMatch(blk) }
@@ -228,8 +177,8 @@ object Engine {
         case Strategy.Scan       => true
         case Strategy.ActiveSync => syncAnyActive(blk)
         case Strategy.ActivePeek =>
-          ensureMask(blk / cfg.lookaheadBlocks)
-          val off = blk - maskBatch * cfg.lookaheadBlocks
+          ensureMask(blk / LookaheadBlocks)
+          val off = blk - maskBatch * LookaheadBlocks
           ((mask(off >>> 6) >>> (off & 63)) & 1L) != 0L
       })
 
@@ -241,7 +190,7 @@ object Engine {
         var row = start
         while (row < end) {
           if (pred.rowPasses(row)) {
-            val g = if (gCols.isEmpty) 0 else gidOf(row)
+            val g = codec.gidOf(row)
             if (active(g)) {
               val v     = aggValues(row)
               val m1    = mAr(g) + 1
@@ -268,12 +217,12 @@ object Engine {
     // have covered the entire scramble — mark exact and take a final round.
     if (!done) recompute()
 
-    val results = boundsSnapshot()
+    val results = ledger.snapshot()
       .filter(_.m > 0)
-      .map(gb => GroupResult(keyOf(gDicts, codesOf(gb.gid)), gb))
+      .map(gb => GroupResult(codec.keyOf(gb.gid), gb))
 
     QueryRun(query, results,
-      Metrics(blocksFetched, rowsProcessed, round, System.nanoTime() - t0, bitmapProbes))
+      Metrics(blocksFetched, rowsProcessed, ledger.rounds, System.nanoTime() - t0, bitmapProbes))
   }
 
   /** Exact baseline: one full (filter-bitmap-pruned) pass, no bounders.
@@ -285,10 +234,8 @@ object Engine {
     val aggValues = scramble.store.num(query.aggCol).values
     val numBlocks = scramble.numBlocks
 
-    val gCols: Array[Array[Int]]     = query.groupBy.map(c => scramble.store.cat(c).codes).toArray
-    val gDicts: Array[Array[String]] = query.groupBy.map(c => scramble.store.cat(c).dict).toArray
-    val gCards: Array[Int]           = gDicts.map(_.length)
-    val numGroups: Int               = gCards.foldLeft(1)(_ * _)
+    val codec     = new GroupCodec(scramble, query.groupBy)
+    val numGroups = codec.numGroups
 
     val sumAr = new Array[Double](numGroups)
     val cntAr = new Array[Long](numGroups)
@@ -305,11 +252,9 @@ object Engine {
         var row = start
         while (row < end) {
           if (pred.rowPasses(row)) {
-            var id = 0
-            var i  = 0
-            while (i < gCols.length) { id = id * gCards(i) + gCols(i)(row); i += 1 }
-            sumAr(id) += aggValues(row)
-            cntAr(id) += 1
+            val g = codec.gidOf(row)
+            sumAr(g) += aggValues(row)
+            cntAr(g) += 1
           }
           row += 1
         }
@@ -321,14 +266,7 @@ object Engine {
       .filter(g => cntAr(g) > 0)
       .map { g =>
         val mean = sumAr(g) / cntAr(g)
-        val codes = {
-          val out = new Array[Int](gCards.length)
-          var rem = g
-          var i   = gCards.length - 1
-          while (i >= 0) { out(i) = rem % gCards(i); rem /= gCards(i); i -= 1 }
-          out
-        }
-        GroupResult(keyOf(gDicts, codes),
+        GroupResult(codec.keyOf(g),
           GroupBounds(g, cntAr(g), mean, Interval(mean, mean), exact = true))
       }
       .toIndexedSeq
@@ -336,7 +274,4 @@ object Engine {
     QueryRun(query, results,
       Metrics(blocksFetched, rowsProcessed, rounds = 0, System.nanoTime() - t0, bitmapProbes = 0))
   }
-
-  private def keyOf(gDicts: Array[Array[String]], codes: Array[Int]): Seq[String] =
-    codes.indices.map(i => gDicts(i)(codes(i)))
 }

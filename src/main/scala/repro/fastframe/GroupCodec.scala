@@ -1,0 +1,40 @@
+package repro.fastframe
+
+/** Group ids of a query: the mixed-radix code of a row's group-by column
+  * codes, so the group domain is the product of the dictionary sizes (a
+  * query without GROUP BY has the single group 0).
+  */
+final class GroupCodec(scramble: Scramble, groupBy: Seq[String]) {
+
+  private val cols: Array[Array[Int]]     = groupBy.map(c => scramble.store.cat(c).codes).toArray
+  private val dicts: Array[Array[String]] = groupBy.map(c => scramble.store.cat(c).dict).toArray
+  private val cards: Array[Int]           = dicts.map(_.length)
+
+  val numGroups: Int = {
+    val n = cards.foldLeft(1L)(_ * _)
+    require(n <= 1000000L, s"group domain too large: $n")
+    n.toInt
+  }
+
+  @inline def gidOf(row: Int): Int = {
+    var id = 0
+    var i  = 0
+    while (i < cols.length) { id = id * cards(i) + cols(i)(row); i += 1 }
+    id
+  }
+
+  /** Per-column codes of a gid (inverse of [[gidOf]]). */
+  def codesOf(gid: Int): Array[Int] = {
+    val out = new Array[Int](cards.length)
+    var rem = gid
+    var i   = cards.length - 1
+    while (i >= 0) { out(i) = rem % cards(i); rem /= cards(i); i -= 1 }
+    out
+  }
+
+  /** Dictionary values of a gid, one per group-by column. */
+  def keyOf(gid: Int): Seq[String] = {
+    val codes = codesOf(gid)
+    codes.indices.map(i => dicts(i)(codes(i)))
+  }
+}

@@ -2,8 +2,8 @@ package repro.spark
 
 import org.apache.spark.sql.{DataFrame, functions => F}
 
-import repro.core.{CountBound, Interval, MomentBounder, MomentState, OptStop}
-import repro.fastframe.{GroupBounds, StopCondition}
+import repro.core.{Interval, MomentBounder, MomentState}
+import repro.fastframe.{StopCondition, ViewLedger}
 
 import scala.collection.mutable
 
@@ -24,11 +24,16 @@ final case class OptStopSparkResult(
     rounds: Int)
 
 /** The paper's Algorithm 5 rendered as distributed dataflow: each round
-  * aggregates a growing scramble prefix with the [[MomentAggregator]]
-  * (one Spark group-by over sampled partitions), then the driver computes
-  * range-trimmed per-group CIs with the round-decayed error budget
-  * δₖ = (6/π²)·δ/k², the Theorem-3 online N⁺, and the running
-  * intersection — stopping as soon as the stopping condition holds.
+  * aggregates a scramble prefix twice the size of the last with the
+  * [[MomentAggregator]] (one Spark group-by over sampled partitions), then
+  * the driver folds the per-group states into a [[ViewLedger]] — δₖ,
+  * the Theorem-3 online N⁺ and the running intersection — and stops as
+  * soon as the stopping condition holds.
+  *
+  * The ledger has `numViewsUpper` slots, one per view of the group domain;
+  * groups get slots in first-seen order. Slots no prefix has reached yet
+  * enter the stopping condition with m = 0 and interval [a, b] (paper
+  * §4.3), so a view that appears late still keeps the run going.
   */
 object OptStopSpark {
 
@@ -42,30 +47,21 @@ object OptStopSpark {
       delta: Double,
       stop: StopCondition,
       numViewsUpper: Int,
-      initialPrefix: Long = 40000L,
-      growth: Double = 2.0,
-      maxRounds: Int = 64): OptStopSparkResult = {
+      initialPrefix: Long = 40000L): OptStopSparkResult = {
     require(numViewsUpper >= 1, "numViewsUpper must be >= 1")
-    require(growth > 1.0, "growth must exceed 1")
+    require(initialPrefix >= 1, "initialPrefix must be >= 1")
 
-    val totalRows    = scrambled.count()
-    val deltaPerView = delta / numViewsUpper
+    val totalRows = scrambled.count()
+    val ledger    = new ViewLedger(numViewsUpper, bounder, a, b, delta, totalRows)
+    val slotOf    = mutable.LinkedHashMap.empty[Seq[String], Int]
 
-    // Stable gid assignment across rounds (first-seen order).
-    val gidOf  = mutable.LinkedHashMap.empty[Seq[String], Int]
-    val best   = mutable.Map.empty[Int, Interval]
-    var latest = Map.empty[Int, (MomentState, Long)] // gid -> (state, r at last update)
-
-    var r       = math.min(initialPrefix, totalRows)
-    var rounds  = 0
+    var r        = math.min(initialPrefix, totalRows)
     var rowsRead = 0L
-    var done    = false
+    var done     = false
 
-    while (!done && rounds < maxRounds) {
-      rounds += 1
+    while (!done) {
+      ledger.nextRound()
       rowsRead += r
-      val deltaK = OptStop.deltaAtRound(deltaPerView, rounds)
-      val exactPass = r >= totalRows
 
       val aggCol = CiAggregates.momentUdaf(F.col(valueCol)).as("state")
       val prefix = SparkScramble.prefix(scrambled, r)
@@ -73,44 +69,29 @@ object OptStopSpark {
         if (groupCols.isEmpty) prefix.agg(aggCol)
         else prefix.groupBy(groupCols.map(F.col): _*).agg(aggCol)
 
-      val states: Seq[(Seq[String], MomentState)] = grouped.collect().toSeq.map { row =>
-        val key = groupCols.indices.map(i => Option(row.get(i)).map(_.toString).getOrElse("∅"))
-        val st  = row.getStruct(groupCols.length)
-        (key, MomentState(st.getLong(0), st.getDouble(1), st.getDouble(2),
+      grouped.collect().foreach { row =>
+        val key  = groupCols.indices.map(i => Option(row.get(i)).map(_.toString).getOrElse("∅"))
+        val slot = slotOf.getOrElseUpdate(key, {
+          require(slotOf.size < numViewsUpper,
+            s"more than numViewsUpper = $numViewsUpper groups in $groupCols")
+          slotOf.size
+        })
+        val st = row.getStruct(groupCols.length)
+        ledger.set(slot, MomentState(st.getLong(0), st.getDouble(1), st.getDouble(2),
           st.getDouble(3), st.getDouble(4)))
       }
 
-      latest = states.map { case (key, st) =>
-        val gid = gidOf.getOrElseUpdate(key, gidOf.size)
-        gid -> ((st, r))
-      }.toMap
+      var g = 0
+      while (g < numViewsUpper) { ledger.update(g, r); g += 1 }
 
-      val bounds: IndexedSeq[GroupBounds] = latest.toIndexedSeq.map { case (gid, (st, rr)) =>
-        val iv =
-          if (exactPass) Interval(st.mean, st.mean)
-          else {
-            val nPlus = CountBound.nUpper(st.m, rr, totalRows, deltaK, CountBound.DefaultAlpha)
-            val raw   = bounder.interval(st, a, b, nPlus, CountBound.DefaultAlpha * deltaK)
-            val prev  = best.getOrElse(gid, Interval(a, b))
-            val inter = prev.intersect(raw)
-            if (inter.lo <= inter.hi) inter else Interval(inter.midpoint, inter.midpoint)
-          }
-        best(gid) = iv
-        GroupBounds(gid, st.m, st.mean, iv, exact = exactPass)
-      }
-
-      done = exactPass || stop.satisfied(bounds)
-      if (!done && rounds < maxRounds) r = math.min(totalRows, math.ceil(r * growth).toLong)
+      done = r >= totalRows || stop.satisfied(ledger.snapshot())
+      if (!done) r = math.min(totalRows, 2 * r)
     }
 
-    val keyOfGid = gidOf.map(_.swap)
-    val groups = latest.toIndexedSeq
-      .sortBy(_._1)
-      .map { case (gid, (st, rr)) =>
-        SparkGroupCi(keyOfGid(gid), st.m, st.mean,
-          best.getOrElse(gid, Interval(a, b)), exact = rr >= totalRows)
-      }
+    val groups = slotOf.toIndexedSeq.map { case (key, g) =>
+      SparkGroupCi(key, ledger.m(g), ledger.mean(g), ledger.interval(g), ledger.exact(g))
+    }
 
-    OptStopSparkResult(groups, finalPrefix = r, totalRowsRead = rowsRead, rounds = rounds)
+    OptStopSparkResult(groups, finalPrefix = r, totalRowsRead = rowsRead, rounds = ledger.rounds)
   }
 }

@@ -53,12 +53,6 @@ class CountBoundSpec extends AnyFunSuite with PropertyChecks {
     assertThrows[IllegalArgumentException](CountBound.nUpper(1, 10, 100, 0.1, alpha = 1.0))
   }
 
-  test("splitDelta partitions the budget") {
-    val (dAvg, dN) = CountBound.splitDelta(1e-6, 0.99)
-    assert(math.abs(dAvg + dN - 1e-6) < 1e-20)
-    assert(math.abs(dAvg - 0.99e-6) < 1e-20)
-  }
-
   test("hypergeometric coverage: selectivity CI contains the true selectivity") {
     val bigR = 5000
     val trueN = 1000 // selectivity 0.2

@@ -24,7 +24,7 @@ class OptStopSpec extends AnyFunSuite {
   }
 
   test("running interval is the intersection of observations") {
-    val r = new OptStop.RunningInterval
+    val r = new SequentialOptStop.RunningInterval
     assert(r.isEmptyOfObservations)
     r.observe(Interval(0.0, 10.0))
     r.observe(Interval(2.0, 12.0))
@@ -34,7 +34,7 @@ class OptStopSpec extends AnyFunSuite {
   }
 
   test("running interval collapses crossed bounds to the midpoint") {
-    val r = new OptStop.RunningInterval
+    val r = new SequentialOptStop.RunningInterval
     r.observe(Interval(5.0, 6.0))
     r.observe(Interval(8.0, 9.0)) // disjoint: a delta-failure artifact
     assert(r.current.width === 0.0)
@@ -45,7 +45,7 @@ class OptStopSpec extends AnyFunSuite {
     val data = Array.fill(50000)(0.4 + 0.2 * rng.nextDouble())
     val mu   = data.sum / data.length
     val it   = rng.shuffle(data.toVector).iterator
-    val (iv, rounds, taken) = OptStop.run(
+    val (iv, rounds, taken) = SequentialOptStop.run(
       Bounders.BernsteinRT, it, 0.0, 1.0, data.length.toLong, 0.01,
       batchSize = 500, shouldStop = _.width < 0.05)
     assert(iv.contains(mu))
@@ -56,7 +56,7 @@ class OptStopSpec extends AnyFunSuite {
 
   test("run() with an unsatisfiable stop exhausts the sampler") {
     val data = Vector.fill(2000)(0.5)
-    val (_, _, taken) = OptStop.run(
+    val (_, _, taken) = SequentialOptStop.run(
       Bounders.Hoeffding, data.iterator, 0.0, 1.0, 2000L, 0.01,
       batchSize = 100, shouldStop = _ => false)
     assert(taken === 2000L)
@@ -64,7 +64,7 @@ class OptStopSpec extends AnyFunSuite {
 
   test("run() respects maxRounds") {
     val data = Iterator.continually(0.5)
-    val (_, rounds, taken) = OptStop.run(
+    val (_, rounds, taken) = SequentialOptStop.run(
       Bounders.Hoeffding, data, 0.0, 1.0, 100000L, 0.01,
       batchSize = 10, shouldStop = _ => false, maxRounds = 7)
     assert(rounds === 7)
@@ -81,7 +81,7 @@ class OptStopSpec extends AnyFunSuite {
     var fails = 0
     for (t <- 1 to 100) {
       val it = new Random(t.toLong).shuffle(data.toVector).iterator
-      val (iv, _, _) = OptStop.run(
+      val (iv, _, _) = SequentialOptStop.run(
         Bounders.Bernstein, it, 0.0, 1.0, 3000L, 0.1,
         batchSize = 200, shouldStop = _.width < 0.08)
       if (!iv.contains(mu)) fails += 1

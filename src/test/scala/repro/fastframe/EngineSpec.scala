@@ -210,4 +210,19 @@ class EngineSpec extends AnyFunSuite {
     assert(covers(run.results.head.bounds.iv, ref))
     assert(run.results.head.bounds.iv.width < 0.2 || run.results.head.bounds.exact)
   }
+
+  test("a group domain past the cap is rejected, not wrapped") {
+    // 65 536 × 65 536 groups: the Int product wraps to 0.
+    val dict  = Array.tabulate(65536)(i => s"k$i")
+    val rows  = 50
+    val store = new ColumnStore(
+      cats = Map(
+        "x" -> CatColumn("x", Array.tabulate(rows)(i => i), dict),
+        "y" -> CatColumn("y", Array.tabulate(rows)(i => 2 * i), dict)),
+      nums = Map("v" -> NumColumn("v", Array.tabulate(rows)(_.toDouble))))
+    val wide = Scramble.fromStore(store, blockSize = 25, seed = 1L)
+    val q    = FrameQuery("wide", "v", Predicate.True, Seq("x", "y"), StopCondition.ThresholdSide(1.0))
+    assertThrows[IllegalArgumentException](Engine.run(wide, q, cfg(Bounders.BernsteinRT)))
+    assertThrows[IllegalArgumentException](Engine.runExact(wide, q))
+  }
 }

@@ -75,13 +75,43 @@ class OptStopSparkSpec extends SparkSpec {
   }
 
   test("rounds grow the prefix geometrically") {
+    // An unsatisfiable width runs to the full pass: each round doubles the
+    // prefix until it reaches the scramble size.
     val (a, b) = range
+    val n = flights.count()
     val res = OptStopSpark.run(
       scr, "DepDelay", Seq("Airline"), Bounders.Hoeffding, a, b,
       delta = 1e-15, stop = StopCondition.AbsoluteWidth(1e-9), numViewsUpper = 12,
-      initialPrefix = 1000, growth = 2.0, maxRounds = 3)
-    assert(res.rounds === 3)
-    assert(res.finalPrefix === 4000L)
-    assert(res.totalRowsRead === 1000L + 2000L + 4000L)
+      initialPrefix = 1000)
+    val prefixes = Iterator.iterate(1000L)(_ * 2).takeWhile(_ < n).toSeq :+ n
+    assert(res.rounds === prefixes.size)
+    assert(res.finalPrefix === n)
+    assert(res.totalRowsRead === prefixes.sum)
+    assert(res.groups.forall(_.exact))
+  }
+
+  test("a view the early prefixes miss still keeps the run going") {
+    // 99 999 rows of group A (values 0-2), then one group-Z row of value
+    // 100 at the last scramble position. Z is the only group above 50.
+    val n = 100000L
+    val late = spark.range(n).select(
+      when(col("id") === n - 1, lit("Z")).otherwise(lit("A")).as("g"),
+      when(col("id") === n - 1, lit(100.0)).otherwise((col("id") % 3).cast("double")).as("v"),
+      col("id").as(SparkScramble.PosCol))
+    val res = OptStopSpark.run(
+      late, "v", Seq("g"), Bounders.BernsteinRT, a = 0.0, b = 100.0,
+      delta = 1e-15, stop = StopCondition.ThresholdSide(50.0), numViewsUpper = 2)
+    val byKey = res.groups.map(g => g.key.head -> g).toMap
+    assert(byKey.keySet === Set("A", "Z"))
+    assert(byKey("Z").exact && byKey("Z").mean === 100.0)
+    assert(byKey("A").iv.hi < 50.0 || byKey("A").exact)
+    assert(res.finalPrefix === n)
+  }
+
+  test("more groups than numViewsUpper fail loudly") {
+    val (a, b) = range
+    assertThrows[IllegalArgumentException](OptStopSpark.run(
+      scr, "DepDelay", Seq("Airline"), Bounders.BernsteinRT, a, b,
+      delta = 1e-15, stop = StopCondition.ThresholdSide(0.0), numViewsUpper = 1))
   }
 }
