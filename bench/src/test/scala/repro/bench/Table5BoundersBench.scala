@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.flights.{FlightsData, TableHarness}
+import repro.flights.{FlightsData, PaperTables}
 
 /** Reproduces paper Table 5: average speedup over Exact per query for
   * Hoeffding, Hoeffding+RT, Bernstein, and Bernstein+RT (ActivePeek
@@ -30,11 +30,11 @@ class Table5BoundersBench extends SparkSpec {
 
   test("Table 5: bounder ablation over all nine queries") {
     val scramble = FlightsData.scramble(spark, sf = BenchConfig.sf)
-    val rows     = TableHarness.table5(scramble, repeats = BenchConfig.repeats)
+    val rows     = PaperTables.table5(scramble, repeats = BenchConfig.repeats)
 
     println(s"== Table 5 reproduction (sf=${BenchConfig.sf}, ${scramble.numRows} rows, " +
       s"${scramble.numBlocks} blocks, delta=1e-15) ==")
-    println(TableHarness.render(rows, "Exact"))
+    println(PaperTables.render(rows, "Exact"))
     println("paper speedups (H, H+RT, B, B+RT):")
     paper.toSeq.sortBy(_._1).foreach { case (q, s) =>
       println(f"$q%-6s ${s.map(v => f"$v%10.2f").mkString(" ")}")

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.flights.{FlightsData, TableHarness}
+import repro.flights.{FlightsData, PaperTables}
 
 /** Reproduces paper Table 6: average speedup over Scan for ActiveSync and
   * ActivePeek (Bernstein+RT bounder), restricted to the GROUP BY queries
@@ -19,7 +19,7 @@ class Table6SamplingBench extends SparkSpec {
 
   test("Table 6: sampling-strategy ablation with Bernstein+RT") {
     val scramble = FlightsData.scramble(spark, sf = BenchConfig.sf)
-    val rows     = TableHarness.table6(scramble, repeats = BenchConfig.repeats)
+    val rows     = PaperTables.table6(scramble, repeats = BenchConfig.repeats)
 
     println(s"== Table 6 reproduction (sf=${BenchConfig.sf}, ${scramble.numRows} rows) ==")
     println(f"${"Query"}%-6s ${"Scan ms"}%10s ${"Scan blk"}%10s " +

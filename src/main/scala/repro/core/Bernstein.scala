@@ -3,7 +3,8 @@ package repro.core
 /** Bernstein–Serfling error bounders (paper Algorithm 2; Bardenet &
   * Maillard, Bernoulli 21(3), 2015).
   *
-  * Both variants produce bounds of the shape
+  * Both variants (the deployed empirical one below and the known-σ
+  * `BernsteinSerfling`, a test-scope reference) produce bounds of the shape
   *
   *   ĝ ∓ [ σ · √( 2·ρₘ·log(C/δ) / m )  +  κ · (b − a) · log(C/δ) / m ]
   *
@@ -18,9 +19,6 @@ object Bernstein {
 
   /** κ = 7/3 + 3/√2 from Bardenet–Maillard Theorem 3 (empirical variant). */
   val KappaEmpirical: Double = 7.0 / 3.0 + 3.0 / math.sqrt(2.0)
-
-  /** κ for the known-variance variant (Bardenet–Maillard Theorem 2). */
-  val KappaKnownVariance: Double = 4.0 / 3.0
 
   private[core] def deviation(
       sigma: Double, m: Long, a: Double, b: Double, n: Long,
@@ -50,24 +48,4 @@ object EmpiricalBernsteinSerfling extends MomentBounder {
 
   override def rbound(s: MomentState, a: Double, b: Double, n: Long, delta: Double): Double =
     if (s.isEmpty) b else s.mean + epsilon(s, a, b, n, delta)
-}
-
-/** Known-variance Bernstein–Serfling bounder (Bardenet–Maillard Theorem 2).
-  * Requires VAR(D) = σ² a priori, which is unrealistic in a DBMS when
-  * AVG(D) is unknown (paper §2.2.3) — kept for unit-level comparison with
-  * the empirical variant.
-  */
-final case class BernsteinSerfling(sigma: Double) extends MomentBounder {
-  require(sigma >= 0, "sigma must be nonnegative")
-
-  override def name: String = "Bernstein(σ known)"
-
-  def epsilon(m: Long, a: Double, b: Double, n: Long, delta: Double): Double =
-    Bernstein.deviation(sigma, m, a, b, n, delta, logArg = 3.0, kappa = Bernstein.KappaKnownVariance)
-
-  override def lbound(s: MomentState, a: Double, b: Double, n: Long, delta: Double): Double =
-    if (s.isEmpty) a else s.mean - epsilon(s.m, a, b, n, delta)
-
-  override def rbound(s: MomentState, a: Double, b: Double, n: Long, delta: Double): Double =
-    if (s.isEmpty) b else s.mean + epsilon(s.m, a, b, n, delta)
 }

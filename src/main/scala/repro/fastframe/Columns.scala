@@ -16,9 +16,17 @@ final case class CatColumn(name: String, codes: Array[Int], dict: Array[String])
 }
 
 /** Plain numeric column. The catalog range for [a, b] comes from its
-  * min/max, inferred at load time (paper §2.2.1, "Known Range Bounds").
+  * min/max, inferred at load time (paper §2.2.1, "Known Range Bounds"),
+  * so every value must be finite: a NaN or ±∞ would void the range.
   */
 final case class NumColumn(name: String, values: Array[Double]) {
+  {
+    // A primitive loop: this runs over every row at load and at permute.
+    var i = 0
+    while (i < values.length && java.lang.Double.isFinite(values(i))) i += 1
+    require(i == values.length, s"column $name has non-finite value ${values(i)} at row $i")
+  }
+
   def min: Double = if (values.isEmpty) 0.0 else values.min
   def max: Double = if (values.isEmpty) 0.0 else values.max
 }

@@ -222,7 +222,8 @@ object Engine {
       .map(gb => GroupResult(codec.keyOf(gb.gid), gb))
 
     QueryRun(query, results,
-      Metrics(blocksFetched, rowsProcessed, ledger.rounds, System.nanoTime() - t0, bitmapProbes))
+      Metrics(blocksFetched, rowsProcessed, ledger.rounds, System.nanoTime() - t0, bitmapProbes,
+        ledger.crossedViews))
   }
 
   /** Exact baseline: one full (filter-bitmap-pruned) pass, no bounders.

@@ -45,14 +45,17 @@ final case class QueryRun(
 
 /** Run metrics. `blocksFetched` is the paper's primary hardware-
   * independent cost metric; `bitmapProbes` counts index accesses
-  * (per-block probes for ActiveSync, 64-block words for ActivePeek).
+  * (per-block probes for ActiveSync, 64-block words for ActivePeek);
+  * `crossedViews` counts views whose running intersection crossed
+  * ([[ViewLedger.crossedViews]]).
   */
 final case class Metrics(
     blocksFetched: Long,
     rowsProcessed: Long,
     rounds: Int,
     wallNanos: Long,
-    bitmapProbes: Long) {
+    bitmapProbes: Long,
+    crossedViews: Int = 0) {
 
   def wallMillis: Double = wallNanos / 1e6
 }

@@ -12,8 +12,8 @@ import repro.core.{CountBound, Interval, MomentBounder, MomentState, OptStop}
   * (1−α)·δₖ to the online view-size bound N⁺ and α·δₖ to the AVG interval.
   * Each view keeps the running intersection of its per-round intervals,
   * starting from the sure range [a, b]; a crossed intersection (a
-  * δ-failure artifact) collapses to its midpoint, and later rounds
-  * intersect with that point.
+  * δ-failure artifact) collapses to its midpoint, later rounds intersect
+  * with that point, and the view is counted in [[crossedViews]].
   *
   * The moment arrays are public so that a row loop can fold values into
   * them directly (Welford, as [[MomentState.update]]).
@@ -38,12 +38,19 @@ final class ViewLedger(
 
   private val lo           = Array.fill(numViews)(a)
   private val hi           = Array.fill(numViews)(b)
+  private val crossed      = new Array[Boolean](numViews)
+  private var numCrossed   = 0
   private val deltaPerView = delta / numViews
   private var deltaK       = 0.0
   private var round        = 0
 
   /** Rounds started so far. */
   def rounds: Int = round
+
+  /** Views whose running intersection has crossed at least once; each
+    * is a δ-failure, which the guarantee bounds in probability by δ.
+    */
+  def crossedViews: Int = numCrossed
 
   /** Start the next round k: δₖ for every view update until the next call. */
   def nextRound(): Unit = {
@@ -75,6 +82,7 @@ final class ViewLedger(
       if (lo(g) > hi(g)) {
         val mid = (lo(g) + hi(g)) / 2
         lo(g) = mid; hi(g) = mid
+        if (!crossed(g)) { crossed(g) = true; numCrossed += 1 }
       }
     }
 

@@ -15,13 +15,15 @@ final case class SparkGroupCi(
   * the answer needed (the paper's early-termination metric);
   * `totalRowsRead` additionally counts the re-reads of each growing
   * prefix (our rounds re-aggregate from scratch rather than maintaining
-  * incremental state across executors).
+  * incremental state across executors). `crossedViews` counts views whose
+  * running intersection crossed ([[ViewLedger.crossedViews]]).
   */
 final case class OptStopSparkResult(
     groups: IndexedSeq[SparkGroupCi],
     finalPrefix: Long,
     totalRowsRead: Long,
-    rounds: Int)
+    rounds: Int,
+    crossedViews: Int = 0)
 
 /** The paper's Algorithm 5 rendered as distributed dataflow: each round
   * aggregates a scramble prefix twice the size of the last with the
@@ -34,6 +36,9 @@ final case class OptStopSparkResult(
   * groups get slots in first-seen order. Slots no prefix has reached yet
   * enter the stopping condition with m = 0 and interval [a, b] (paper
   * §4.3), so a view that appears late still keeps the run going.
+  *
+  * Every value must lie in the caller's [a, b]: the bounds are SSI only
+  * for such data, so a group state outside it fails the run.
   */
 object OptStopSpark {
 
@@ -77,8 +82,11 @@ object OptStopSpark {
           slotOf.size
         })
         val st = row.getStruct(groupCols.length)
-        ledger.set(slot, MomentState(st.getLong(0), st.getDouble(1), st.getDouble(2),
-          st.getDouble(3), st.getDouble(4)))
+        val s  = MomentState(st.getLong(0), st.getDouble(1), st.getDouble(2),
+          st.getDouble(3), st.getDouble(4))
+        require(s.min >= a && s.max <= b,
+          s"group $key has value ${if (s.min < a) s.min else s.max} outside [a, b] = [$a, $b]")
+        ledger.set(slot, s)
       }
 
       var g = 0
@@ -92,6 +100,7 @@ object OptStopSpark {
       SparkGroupCi(key, ledger.m(g), ledger.mean(g), ledger.interval(g), ledger.exact(g))
     }
 
-    OptStopSparkResult(groups, finalPrefix = r, totalRowsRead = rowsRead, rounds = ledger.rounds)
+    OptStopSparkResult(groups, finalPrefix = r, totalRowsRead = rowsRead, rounds = ledger.rounds,
+      crossedViews = ledger.crossedViews)
   }
 }

@@ -58,7 +58,7 @@ class BernsteinSpec extends AnyFunSuite {
 
   test("kappa constants match Bardenet-Maillard") {
     assert(math.abs(Bernstein.KappaEmpirical - (7.0 / 3.0 + 3.0 / math.sqrt(2.0))) < 1e-15)
-    assert(math.abs(Bernstein.KappaKnownVariance - 4.0 / 3.0) < 1e-15)
+    assert(math.abs(BernsteinSerfling.KappaKnownVariance - 4.0 / 3.0) < 1e-15)
   }
 
   test("rho factors: Serfling vs Bardenet-Maillard piecewise") {

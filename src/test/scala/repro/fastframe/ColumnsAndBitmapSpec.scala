@@ -53,6 +53,14 @@ class ColumnsAndBitmapSpec extends AnyFunSuite with PropertyChecks {
     }
   }
 
+  test("numeric column rejects NaN and infinite values, naming the column") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val e = intercept[IllegalArgumentException](NumColumn("delay", Array(1.0, bad, 2.0)))
+      assert(e.getMessage.contains("delay"), e.getMessage)
+      assert(e.getMessage.contains("row 1"), e.getMessage)
+    }
+  }
+
   test("numeric column min/max") {
     val c = NumColumn("v", Array(3.0, -1.0, 2.0))
     assert(c.min === -1.0)

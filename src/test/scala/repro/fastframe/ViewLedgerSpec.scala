@@ -73,5 +73,7 @@ class ViewLedgerSpec extends AnyFunSuite {
       ledger.interval(0)
     }.toList
     assert(seen === List(Interval(5.0, 6.0), Interval(7.0, 7.0), Interval(7.0, 7.0), Interval(7.25, 7.25)))
+    // Crossed twice, but one view: counted once.
+    assert(ledger.crossedViews === 1)
   }
 }

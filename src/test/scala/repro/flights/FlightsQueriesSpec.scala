@@ -42,6 +42,32 @@ class FlightsQueriesSpec extends SparkSpec {
     }
   }
 
+  /** Deterministic cost counters per query (Bernstein+RT, ActivePeek,
+    * roundRows = 10 000, startBlock = 0): (blocksFetched, rowsProcessed,
+    * rounds, bitmapProbes). Any change to what the engine fetches or when
+    * it recomputes moves these; a refactor must leave them as they are.
+    */
+  private val pinnedCounters: Map[String, (Long, Long, Int, Long)] = Map(
+    "F-q1" -> ((1189L, 29725L, 3, 1200L)),
+    "F-q2" -> ((1200L, 30000L, 3, 320L)),
+    "F-q3" -> ((1200L, 30000L, 3, 384L)),
+    "F-q4" -> ((800L, 20000L, 2, 806L)),
+    "F-q5" -> ((1200L, 30000L, 3, 1904L)),
+    "F-q6" -> ((1200L, 30000L, 3, 26880L)),
+    "F-q7" -> ((926L, 23150L, 3, 1424L)),
+    "F-q8" -> ((1200L, 30000L, 3, 1904L)),
+    "F-q9" -> ((1200L, 30000L, 3, 384L)))
+
+  test("counter gate: blocks, rows, rounds and bitmap probes of F-q1..F-q9 at sf=0.005") {
+    val cfg = EngineConfig(bounder = Bounders.BernsteinRT, roundRows = 10000,
+      strategy = Strategy.ActivePeek, startBlock = 0)
+    val got = FlightsQueries.all.map { q =>
+      val m = Engine.run(scr, q, cfg).metrics
+      q.name -> ((m.blocksFetched, m.rowsProcessed, m.rounds, m.bitmapProbes))
+    }.toMap
+    assert(got === pinnedCounters)
+  }
+
   test("F-q2 terminates before a full pass at small scale with relaxed delta") {
     // At 30k rows the paper's delta=1e-15 forces near-full scans (the
     // sample requirement does not shrink with N); a moderate delta shows
@@ -74,7 +100,7 @@ class FlightsQueriesSpec extends SparkSpec {
   }
 
   test("evaluate() aggregates repeats and flags correctness") {
-    val row = TableHarness.evaluate(scr, FlightsQueries.q2(),
+    val row = PaperTables.evaluate(scr, FlightsQueries.q2(),
       Seq("B+RT" -> EngineConfig(bounder = Bounders.BernsteinRT, roundRows = 10000)), repeats = 2)
     assert(row.query === "F-q2")
     assert(row.evals.size === 1)
@@ -84,9 +110,9 @@ class FlightsQueriesSpec extends SparkSpec {
   }
 
   test("render() produces a row per query") {
-    val rows = Seq(TableHarness.evaluate(scr, FlightsQueries.q2(),
+    val rows = Seq(PaperTables.evaluate(scr, FlightsQueries.q2(),
       Seq("B+RT" -> EngineConfig(bounder = Bounders.BernsteinRT, roundRows = 10000)), repeats = 1))
-    val out = TableHarness.render(rows, "Exact")
+    val out = PaperTables.render(rows, "Exact")
     assert(out.contains("F-q2"))
     assert(out.contains("B+RT"))
   }

@@ -33,6 +33,9 @@ class EngineAgreementSpec extends SparkSpec {
         GroupResult(g.key, GroupBounds(i, g.m, g.mean, g.iv, g.exact))
       }, Metrics(0, sp.totalRowsRead, sp.rounds, 0, 0))
 
+      // At δ = 1e-15 no running intersection may cross.
+      assert(ff.metrics.crossedViews === 0)
+      assert(sp.crossedViews === 0)
       assert(TableHarness.isCorrect(q, ff, exact), "FastFrame answer differs from Exact")
       assert(TableHarness.isCorrect(q, spRun, exact), "Spark answer differs from Exact")
       val exactMean = exact.results.map(r => r.key -> r.bounds.mean).toMap

@@ -108,6 +108,15 @@ class OptStopSparkSpec extends SparkSpec {
     assert(res.finalPrefix === n)
   }
 
+  test("a value above the caller's b fails loudly, naming the group") {
+    val (a, b) = range
+    val e = intercept[IllegalArgumentException](OptStopSpark.run(
+      scr, "DepDelay", Seq("Airline"), Bounders.BernsteinRT, a, b - 1.0,
+      delta = 1e-15, stop = StopCondition.ThresholdSide(0.0), numViewsUpper = 12,
+      initialPrefix = flights.count()))
+    assert(e.getMessage.contains("outside [a, b]"), e.getMessage)
+  }
+
   test("more groups than numViewsUpper fail loudly") {
     val (a, b) = range
     assertThrows[IllegalArgumentException](OptStopSpark.run(
