@@ -16,9 +16,4 @@ object Bounders {
 
   /** Table-5 order: Hoeffding, Hoeffding+RT, Bernstein, Bernstein+RT. */
   val all: Seq[MomentBounder] = Seq(Hoeffding, HoeffdingRT, Bernstein, BernsteinRT)
-
-  def byName(name: String): MomentBounder =
-    all.find(_.name == name).getOrElse(
-      throw new NoSuchElementException(
-        s"unknown bounder '$name'; known: ${all.map(_.name).mkString(", ")}"))
 }

@@ -3,12 +3,11 @@ package repro.core
 /** Closed real interval `[lo, hi]`, the output of an error bounder. */
 final case class Interval(lo: Double, hi: Double) {
   require(!lo.isNaN && !hi.isNaN, "interval bounds must not be NaN")
+  require(lo <= hi, s"interval [$lo, $hi] is reversed")
 
   def width: Double = hi - lo
 
   def contains(x: Double): Boolean = lo <= x && x <= hi
-
-  def intersects(o: Interval): Boolean = lo <= o.hi && o.lo <= hi
 }
 
 /** A sample-size-independent (SSI) range-based error bounder for AVG,

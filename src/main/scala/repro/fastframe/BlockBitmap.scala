@@ -18,26 +18,13 @@ final class BlockBitmap private (
   def contains(v: Int, blk: Int): Boolean =
     (words(v)(blk >>> 6) & (1L << (blk & 63))) != 0L
 
-  /** OR this value's bits for blocks [from, from+len) into `out`, where
-    * `out(i)` holds bits for blocks from+64·i … — the ActivePeek batched
-    * access path (word-aligned `from` required, as the engine's lookahead
-    * batches are multiples of 64 blocks).
-    */
-  def orInto(v: Int, from: Int, len: Int, out: Array[Long]): Unit = {
-    require((from & 63) == 0, "batch start must be word-aligned")
-    val w0     = from >>> 6
-    val nWords = (len + 63) >>> 6
-    val row    = words(v)
-    var i = 0
-    while (i < nWords && w0 + i < row.length) {
-      out(i) |= row(w0 + i)
-      i += 1
-    }
-  }
-
-  /** AND this value's bits for blocks [from, from+len) into `inout`
-    * (used for multi-column group keys: a block can contain group
-    * (v₁, v₂) only if it contains v₁ and v₂ — a safe over-approximation).
+  /** AND this value's bits for blocks [from, from+len) into `inout`,
+    * where `inout(i)` holds bits for blocks from+64·i … — the ActivePeek
+    * batched access path (word-aligned `from` required, as the engine's
+    * lookahead batches are multiples of 64 blocks). Starting from all ones
+    * and ANDing one value per group column marks the blocks that may
+    * contain group (v₁, …, vₙ): exact for one column, a safe
+    * over-approximation for several.
     */
   def andInto(v: Int, from: Int, len: Int, inout: Array[Long]): Unit = {
     require((from & 63) == 0, "batch start must be word-aligned")

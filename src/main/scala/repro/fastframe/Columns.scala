@@ -4,7 +4,12 @@ package repro.fastframe
   * FastFrame builds block bitmaps only over categorical columns (paper §4).
   */
 final case class CatColumn(name: String, codes: Array[Int], dict: Array[String]) {
-  require(codes.forall(c => c >= 0 && c < dict.length), s"column $name has out-of-dict codes")
+  {
+    // A primitive loop: this runs over every row at load and at permute.
+    var i = 0
+    while (i < codes.length && codes(i) >= 0 && codes(i) < dict.length) i += 1
+    require(i == codes.length, s"column $name has out-of-dict code ${codes(i)} at row $i")
+  }
 
   def cardinality: Int = dict.length
 
@@ -20,15 +25,26 @@ final case class CatColumn(name: String, codes: Array[Int], dict: Array[String])
   * so every value must be finite: a NaN or ±∞ would void the range.
   */
 final case class NumColumn(name: String, values: Array[Double]) {
-  {
-    // A primitive loop: this runs over every row at load and at permute.
-    var i = 0
-    while (i < values.length && java.lang.Double.isFinite(values(i))) i += 1
-    require(i == values.length, s"column $name has non-finite value ${values(i)} at row $i")
-  }
 
-  def min: Double = if (values.isEmpty) 0.0 else values.min
-  def max: Double = if (values.isEmpty) 0.0 else values.max
+  /** Smallest and largest value (0 for an empty column). */
+  val (min, max) = finiteRange()
+
+  // One primitive pass, at load and at permute: every value must be
+  // finite, and the same pass finds the range. It is a method because the
+  // JIT cannot compile a loop that a pattern-val initializer enters with
+  // a non-empty operand stack.
+  private def finiteRange(): (Double, Double) = {
+    var lo = Double.PositiveInfinity
+    var hi = Double.NegativeInfinity
+    var i  = 0
+    while (i < values.length && java.lang.Double.isFinite(values(i))) {
+      lo = math.min(lo, values(i))
+      hi = math.max(hi, values(i))
+      i += 1
+    }
+    require(i == values.length, s"column $name has non-finite value ${values(i)} at row $i")
+    if (values.isEmpty) (0.0, 0.0) else (lo, hi)
+  }
 }
 
 /** In-memory column store: the base relation FastFrame operates over.
@@ -57,7 +73,22 @@ final class ColumnStore(
   def permuted(perm: Array[Int]): ColumnStore = {
     require(perm.length == numRows, "permutation length must equal numRows")
     new ColumnStore(
-      cats.map { case (n, c) => n -> c.copy(codes = perm.map(c.codes)) },
-      nums.map { case (n, c) => n -> c.copy(values = perm.map(c.values)) })
+      cats.map { case (n, c) => n -> c.copy(codes = gather(c.codes, perm)) },
+      nums.map { case (n, c) => n -> c.copy(values = gather(c.values, perm)) })
+  }
+
+  // Primitive gathers: a generic `perm.map(col)` boxes every element.
+  private def gather(col: Array[Int], perm: Array[Int]): Array[Int] = {
+    val out = new Array[Int](perm.length)
+    var i = 0
+    while (i < perm.length) { out(i) = col(perm(i)); i += 1 }
+    out
+  }
+
+  private def gather(col: Array[Double], perm: Array[Int]): Array[Double] = {
+    val out = new Array[Double](perm.length)
+    var i = 0
+    while (i < perm.length) { out(i) = col(perm(i)); i += 1 }
+    out
   }
 }

@@ -53,13 +53,6 @@ object Engine {
     val gMaps     = query.groupBy.map(scramble.bitmap).toArray
     val ledger    = new ViewLedger(numGroups, cfg.bounder, a, b, cfg.delta, totalRows)
 
-    // Welford moment state, one slot per group, folded by the row loop.
-    val mAr    = ledger.m
-    val meanAr = ledger.mean
-    val m2Ar   = ledger.m2
-    val minAr  = ledger.min
-    val maxAr  = ledger.max
-
     // Activity / coverage bookkeeping (see DESIGN.md): a group's r for the
     // selectivity bound is the number of scramble rows passed while it was
     // active — those blocks were either fetched or provably view-empty.
@@ -91,7 +84,7 @@ object Engine {
       val nowActive = query.stop.activeGroups(ledger.snapshot())
       g = 0
       while (g < numGroups) {
-        val shouldBeActive = !ledger.exact(g) && nowActive.contains(g)
+        val shouldBeActive = nowActive.contains(g)
         if (active(g) && !shouldBeActive) {
           accumCovered(g) += coveredAll - activeSince(g)
           active(g) = false
@@ -112,29 +105,27 @@ object Engine {
     val tmpWords         = new Array[Long](batchWords)
     var maskBatch        = -1
 
+    /** ActivePeek: mark the blocks of batch `batchId` that may hold an
+      * active group — the AND of the group's code bitmaps over its group
+      * columns (all ones with none), ORed over the active groups.
+      */
     def ensureMask(batchId: Int): Unit = {
       if (maskBatch == batchId) return
       maskBatch = batchId
       val from = batchId * LookaheadBlocks
-      if (gMaps.isEmpty) { java.util.Arrays.fill(mask, -1L); return }
       java.util.Arrays.fill(mask, 0L)
       var i = 0
       while (i < activeList.length) {
         val codes = activeCodes(i)
-        if (gMaps.length == 1) {
-          gMaps(0).orInto(codes(0), from, LookaheadBlocks, mask)
+        java.util.Arrays.fill(tmpWords, -1L)
+        var c = 0
+        while (c < gMaps.length) {
+          gMaps(c).andInto(codes(c), from, LookaheadBlocks, tmpWords)
           bitmapProbes += batchWords
-        } else {
-          java.util.Arrays.fill(tmpWords, -1L)
-          var c = 0
-          while (c < gMaps.length) {
-            gMaps(c).andInto(codes(c), from, LookaheadBlocks, tmpWords)
-            bitmapProbes += batchWords
-            c += 1
-          }
-          var w = 0
-          while (w < batchWords) { mask(w) |= tmpWords(w); w += 1 }
+          c += 1
         }
+        var w = 0
+        while (w < batchWords) { mask(w) |= tmpWords(w); w += 1 }
         i += 1
       }
     }
@@ -143,7 +134,6 @@ object Engine {
       * group column per candidate group, stopping at the first hit.
       */
     def syncAnyActive(blk: Int): Boolean = {
-      if (gMaps.isEmpty) return true
       var i = 0
       while (i < activeList.length) {
         val codes = activeCodes(i)
@@ -191,17 +181,7 @@ object Engine {
         while (row < end) {
           if (pred.rowPasses(row)) {
             val g = codec.gidOf(row)
-            if (active(g)) {
-              val v     = aggValues(row)
-              val m1    = mAr(g) + 1
-              val delta = v - meanAr(g)
-              val mean1 = meanAr(g) + delta / m1
-              m2Ar(g) += delta * (v - mean1)
-              meanAr(g) = mean1
-              mAr(g) = m1
-              if (v < minAr(g)) minAr(g) = v
-              if (v > maxAr(g)) maxAr(g) = v
-            }
+            if (active(g)) ledger.add(g, aggValues(row))
           }
           row += 1
         }

@@ -88,15 +88,12 @@ object StopCondition {
       val result = active.result()
       // Exactness can leave crossing-but-frozen groups; separation itself
       // decides termination then.
-      if (result.isEmpty || separated(sorted, k)) Set.empty else result
+      if (result.isEmpty || separated(top, rest)) Set.empty else result
     }
 
-    private def separated(sorted: IndexedSeq[GroupBounds], k: Int): Boolean = {
-      val top  = sorted.take(k)
-      val rest = sorted.drop(k)
+    private def separated(top: IndexedSeq[GroupBounds], rest: IndexedSeq[GroupBounds]): Boolean =
       if (largest) top.map(_.iv.lo).min > rest.map(_.iv.hi).max
       else top.map(_.iv.hi).max < rest.map(_.iv.lo).min
-    }
   }
 
   /** ❻ Groups Ordered Correctly: a group is active while its interval
@@ -109,15 +106,12 @@ object StopCondition {
       val active = Set.newBuilder[Int]
       var i = 0
       while (i < sorted.size - 1) {
-        // Sorted by lo: overlap is possible only between neighbors in the
-        // lo-order chain (interval i can only intersect j > i if it
-        // reaches j's lo).
+        // Sorted by lo, interval i intersects j > i iff it reaches j's lo
+        // (i.lo ≤ j.lo ≤ j.hi holds already).
         var j = i + 1
         while (j < sorted.size && sorted(j).iv.lo <= sorted(i).iv.hi) {
-          if (sorted(i).iv.intersects(sorted(j).iv)) {
-            if (live(sorted(i))) active += sorted(i).gid
-            if (live(sorted(j))) active += sorted(j).gid
-          }
+          if (live(sorted(i))) active += sorted(i).gid
+          if (live(sorted(j))) active += sorted(j).gid
           j += 1
         }
         i += 1

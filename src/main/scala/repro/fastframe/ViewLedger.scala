@@ -15,8 +15,8 @@ import repro.core.{CountBound, Interval, MomentBounder, MomentState, OptStop}
   * δ-failure artifact) collapses to its midpoint, later rounds intersect
   * with that point, and the view is counted in [[crossedViews]].
   *
-  * The moment arrays are public so that a row loop can fold values into
-  * them directly (Welford, as [[MomentState.update]]).
+  * A row loop folds values in with [[add]]; engines that aggregate
+  * elsewhere overwrite a view's moments with [[set]].
   *
   * @param totalRows rows in the scramble; a view that has covered all of
   *                  them is exact
@@ -29,13 +29,11 @@ final class ViewLedger(
     delta: Double,
     totalRows: Long) {
 
-  val m: Array[Long]         = new Array[Long](numViews)
-  val mean: Array[Double]    = new Array[Double](numViews)
-  val m2: Array[Double]      = new Array[Double](numViews)
-  val min: Array[Double]     = Array.fill(numViews)(Double.PositiveInfinity)
-  val max: Array[Double]     = Array.fill(numViews)(Double.NegativeInfinity)
-  val exact: Array[Boolean]  = new Array[Boolean](numViews)
-
+  // View g's moments sit at mom(5g) … mom(5g + 4): the count (a double,
+  // exact below 2^53), mean, m2, min and max. One array keeps a view's
+  // moments together and costs the row loop one field load per row.
+  private val mom          = new Array[Double](math.multiplyExact(5, numViews))
+  private val isExact      = new Array[Boolean](numViews)
   private val lo           = Array.fill(numViews)(a)
   private val hi           = Array.fill(numViews)(b)
   private val crossed      = new Array[Boolean](numViews)
@@ -43,6 +41,14 @@ final class ViewLedger(
   private val deltaPerView = delta / numViews
   private var deltaK       = 0.0
   private var round        = 0
+
+  {
+    var g = 0
+    while (g < numViews) { set(g, MomentState.empty); g += 1 }
+  }
+
+  private def m(g: Int): Long      = mom(5 * g).toLong
+  private def mean(g: Int): Double = mom(5 * g + 1)
 
   /** Rounds started so far. */
   def rounds: Int = round
@@ -58,21 +64,38 @@ final class ViewLedger(
     deltaK = OptStop.deltaAtRound(deltaPerView, round)
   }
 
+  /** Fold value `v` into view `g` (Welford, as [[MomentState.update]]). */
+  def add(g: Int, v: Double): Unit = {
+    val i     = 5 * g
+    val m1    = mom(i) + 1
+    val d     = v - mom(i + 1)
+    val mean1 = mom(i + 1) + d / m1
+    mom(i + 2) += d * (v - mean1)
+    mom(i + 1) = mean1
+    mom(i) = m1
+    if (v < mom(i + 3)) mom(i + 3) = v
+    if (v > mom(i + 4)) mom(i + 4) = v
+  }
+
   /** Overwrite view `g`'s moments (for engines that aggregate elsewhere). */
   def set(g: Int, s: MomentState): Unit = {
-    m(g) = s.m; mean(g) = s.mean; m2(g) = s.m2; min(g) = s.min; max(g) = s.max
+    val i = 5 * g
+    mom(i) = s.m.toDouble; mom(i + 1) = s.mean; mom(i + 2) = s.m2; mom(i + 3) = s.min; mom(i + 4) = s.max
   }
+
+  /** Has view `g` covered every scramble row? */
+  def exact(g: Int): Boolean = isExact(g)
 
   def stateOf(g: Int): MomentState =
     if (m(g) == 0) MomentState.empty
-    else MomentState(m(g), mean(g), m2(g), min(g), max(g))
+    else MomentState(m(g), mean(g), mom(5 * g + 2), mom(5 * g + 3), mom(5 * g + 4))
 
   /** Fold this round's interval for view `g`, whose sample is the view's
     * rows among `r` scramble rows; `r` ≥ totalRows makes the view exact.
     */
   def update(g: Int, r: Long): Unit =
     if (r >= totalRows) {
-      exact(g) = true
+      isExact(g) = true
       if (m(g) > 0) { lo(g) = mean(g); hi(g) = mean(g) }
     } else {
       val nPlus = CountBound.nUpper(m(g), r, totalRows, deltaK, CountBound.DefaultAlpha)
@@ -94,7 +117,7 @@ final class ViewLedger(
     */
   def snapshot(): IndexedSeq[GroupBounds] =
     (0 until numViews).iterator
-      .filterNot(g => exact(g) && m(g) == 0)
-      .map(g => GroupBounds(g, m(g), mean(g), Interval(lo(g), hi(g)), exact(g)))
+      .filterNot(g => isExact(g) && m(g) == 0)
+      .map(g => GroupBounds(g, m(g), mean(g), Interval(lo(g), hi(g)), isExact(g)))
       .toIndexedSeq
 }

@@ -4,26 +4,29 @@ import org.apache.spark.sql.{Encoder, Encoders, SparkSession}
 import org.apache.spark.sql.expressions.Aggregator
 import org.apache.spark.sql.functions
 
-import repro.core.{Bounders, MomentState}
+import repro.core.{Bounders, MomentBounder, MomentState}
 
 /** Distributed CI state aggregation: [[MomentState]] as a Spark
   * aggregation buffer (see DESIGN.md, "Extension-point mapping").
   *
-  * `MomentAggregator` computes the per-group bounder state as a typed
-  * `Aggregator` — partitions fold rows with the Welford update and merge
-  * with the Chan combination, exactly the `update_state`/merge contract of
-  * [[repro.core.ErrorBounder]]. Bound computation from the collected
-  * states happens driver-side (δ budgeting and the online N⁺ need
-  * cross-group context); [[CiAvgAggregator]] additionally evaluates a
-  * fixed-parameter bounder inside the aggregation for the SQL-facing
-  * `ci_avg_*` functions.
+  * Partitions fold rows with the Welford update and merge with the Chan
+  * combination, exactly the `update_state`/merge contract of
+  * [[repro.core.ErrorBounder]]. [[MomentAggregator]] outputs the
+  * per-group state itself; bound computation from the collected states
+  * happens driver-side (δ budgeting and the online N⁺ need cross-group
+  * context). [[CiAvgAggregator]] additionally evaluates a fixed-parameter
+  * bounder inside the aggregation for the SQL-facing `ci_avg_*` functions.
   */
-final class MomentAggregator extends Aggregator[Double, MomentState, MomentState] {
+sealed abstract class MomentBuffer[OUT] extends Aggregator[Double, MomentState, OUT] {
   override def zero: MomentState = MomentState.empty
   override def reduce(b: MomentState, v: Double): MomentState = MomentState.update(b, v)
   override def merge(b1: MomentState, b2: MomentState): MomentState = MomentState.merge(b1, b2)
-  override def finish(r: MomentState): MomentState = r
   override def bufferEncoder: Encoder[MomentState] = Encoders.product[MomentState]
+}
+
+/** The per-group [[MomentState]] as a typed `Aggregator`. */
+final class MomentAggregator extends MomentBuffer[MomentState] {
+  override def finish(r: MomentState): MomentState = r
   override def outputEncoder: Encoder[MomentState] = Encoders.product[MomentState]
 }
 
@@ -31,24 +34,20 @@ final class MomentAggregator extends Aggregator[Double, MomentState, MomentState
 final case class CiRow(mean: Double, lo: Double, hi: Double, m: Long)
 
 /** A complete (1−δ) AVG confidence interval as a Spark aggregate, for a
-  * known view size `n` and catalog range [a, b].
+  * known view size `n` and catalog range [a, b]. Every value must lie in
+  * [a, b]: the bound is SSI only for such data, so a state outside it
+  * fails the aggregation.
   */
-final class CiAvgAggregator(
-    bounderName: String, a: Double, b: Double, n: Long, delta: Double)
-  extends Aggregator[Double, MomentState, CiRow] {
-
-  @transient private lazy val bounder = Bounders.byName(bounderName)
-
-  override def zero: MomentState = MomentState.empty
-  override def reduce(s: MomentState, v: Double): MomentState = MomentState.update(s, v)
-  override def merge(b1: MomentState, b2: MomentState): MomentState = MomentState.merge(b1, b2)
+final class CiAvgAggregator(bounder: MomentBounder, a: Double, b: Double, n: Long, delta: Double)
+  extends MomentBuffer[CiRow] {
 
   override def finish(s: MomentState): CiRow = {
+    require(s.min >= a && s.max <= b,
+      s"value ${if (s.min < a) s.min else s.max} outside [a, b] = [$a, $b]")
     val iv = bounder.interval(s, a, b, n, delta)
     CiRow(s.mean, iv.lo, iv.hi, s.m)
   }
 
-  override def bufferEncoder: Encoder[MomentState] = Encoders.product[MomentState]
   override def outputEncoder: Encoder[CiRow] = Encoders.product[CiRow]
 }
 
@@ -74,7 +73,7 @@ object CiAggregates {
     Bounders.all.foreach { bd =>
       val fname = "ci_avg_" + bd.name.toLowerCase.replace("+", "_")
       spark.udf.register(fname,
-        functions.udaf(new CiAvgAggregator(bd.name, a, b, n, delta), Encoders.scalaDouble))
+        functions.udaf(new CiAvgAggregator(bd, a, b, n, delta), Encoders.scalaDouble))
     }
   }
 }

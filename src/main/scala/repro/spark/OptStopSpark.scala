@@ -97,7 +97,8 @@ object OptStopSpark {
     }
 
     val groups = slotOf.toIndexedSeq.map { case (key, g) =>
-      SparkGroupCi(key, ledger.m(g), ledger.mean(g), ledger.interval(g), ledger.exact(g))
+      val s = ledger.stateOf(g)
+      SparkGroupCi(key, s.m, s.mean, ledger.interval(g), ledger.exact(g))
     }
 
     OptStopSparkResult(groups, finalPrefix = r, totalRowsRead = rowsRead, rounds = ledger.rounds,

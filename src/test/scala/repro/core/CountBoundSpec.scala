@@ -22,14 +22,14 @@ class CountBoundSpec extends AnyFunSuite with PropertyChecks {
   test("selectivity interval is within [0, 1] and centered on the estimate") {
     forAll(Gen.chooseNum(1L, 1000L), Gen.chooseNum(0.001, 0.5)) { (r, d) =>
       val mV = r / 3
-      val iv = CountBound.selectivityInterval(mV, r, 10000L, d)
+      val iv = ViewCount.selectivityInterval(mV, r, 10000L, d)
       assert(iv.lo >= 0.0 && iv.hi <= 1.0)
       assert(iv.contains(mV.toDouble / r))
     }
   }
 
   test("count interval floors at the observed count and caps at R") {
-    val iv = CountBound.countInterval(mV = 50, r = 100, bigR = 1000, delta = 0.5)
+    val iv = ViewCount.countInterval(mV = 50, r = 100, bigR = 1000, delta = 0.5)
     assert(iv.lo >= 50.0)
     assert(iv.hi <= 1000.0)
   }
@@ -65,7 +65,7 @@ class CountBoundSpec extends AnyFunSuite with PropertyChecks {
       val perm = rng.shuffle(member.toVector)
       val r    = 400
       val mV   = perm.take(r).count(identity)
-      val iv   = CountBound.selectivityInterval(mV.toLong, r.toLong, bigR.toLong, delta)
+      val iv   = ViewCount.selectivityInterval(mV.toLong, r.toLong, bigR.toLong, delta)
       if (!iv.contains(trueN.toDouble / bigR)) fails += 1
     }
     assert(fails <= math.max(3, (delta * trials).toInt))

@@ -29,6 +29,8 @@ class ColumnsAndBitmapSpec extends AnyFunSuite with PropertyChecks {
 
   test("cat column rejects out-of-dict codes") {
     assertThrows[IllegalArgumentException](CatColumn("g", Array(0, 5), Array("a", "b")))
+    val e = intercept[IllegalArgumentException](CatColumn("Origin", Array(0, 1, -1), Array("a", "b")))
+    assert(e.getMessage.contains("Origin") && e.getMessage.contains("row 2"), e.getMessage)
   }
 
   test("codeOf resolves dictionary values and rejects unknowns") {
@@ -65,6 +67,13 @@ class ColumnsAndBitmapSpec extends AnyFunSuite with PropertyChecks {
     val c = NumColumn("v", Array(3.0, -1.0, 2.0))
     assert(c.min === -1.0)
     assert(c.max === 3.0)
+    // Bit for bit the collection min/max, which order -0.0 below 0.0.
+    val bits = java.lang.Double.doubleToRawLongBits _
+    forAll(Gen.nonEmptyListOf(Gen.oneOf(Gen.const(0.0), Gen.const(-0.0), Gen.chooseNum(-5.0, 5.0)))) {
+      vs =>
+        val c = NumColumn("v", vs.toArray)
+        assert(bits(c.min) === bits(vs.min) && bits(c.max) === bits(vs.max), vs)
+    }
   }
 
   test("bitmap bit set iff block contains the value (property)") {
@@ -83,13 +92,13 @@ class ColumnsAndBitmapSpec extends AnyFunSuite with PropertyChecks {
     }
   }
 
-  test("orInto agrees with per-block contains") {
+  test("andInto on an all-ones input agrees with per-block contains") {
     val rng   = new Random(3L)
     val codes = Array.fill(2000)(rng.nextInt(3))
     val bm    = BlockBitmap.build(codes, 3, 7)
     val len   = 128
-    val out   = new Array[Long](len >>> 6)
-    bm.orInto(1, 64, len, out)
+    val out   = Array.fill(len >>> 6)(-1L)
+    bm.andInto(1, 64, len, out)
     for (off <- 0 until len) {
       val blk = 64 + off
       if (blk < bm.numBlocks) {
@@ -115,9 +124,8 @@ class ColumnsAndBitmapSpec extends AnyFunSuite with PropertyChecks {
     }
   }
 
-  test("orInto/andInto require word-aligned batch starts") {
+  test("andInto requires word-aligned batch starts") {
     val bm = BlockBitmap.build(Array(0, 1, 0), 2, 1)
-    assertThrows[IllegalArgumentException](bm.orInto(0, 3, 64, new Array[Long](1)))
     assertThrows[IllegalArgumentException](bm.andInto(0, 3, 64, new Array[Long](1)))
   }
 }

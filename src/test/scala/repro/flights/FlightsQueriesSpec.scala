@@ -42,30 +42,99 @@ class FlightsQueriesSpec extends SparkSpec {
     }
   }
 
-  /** Deterministic cost counters per query (Bernstein+RT, ActivePeek,
-    * roundRows = 10 000, startBlock = 0): (blocksFetched, rowsProcessed,
-    * rounds, bitmapProbes). Any change to what the engine fetches or when
-    * it recomputes moves these; a refactor must leave them as they are.
+  /** Deterministic cost counters per strategy and query (Bernstein+RT,
+    * startBlock = 0): (blocksFetched, rowsProcessed, rounds, bitmapProbes).
+    * Any change to what the engine fetches, how it probes the bitmaps or
+    * when it recomputes moves these; a refactor must leave them as they are.
     */
-  private val pinnedCounters: Map[String, (Long, Long, Int, Long)] = Map(
-    "F-q1" -> ((1189L, 29725L, 3, 1200L)),
-    "F-q2" -> ((1200L, 30000L, 3, 320L)),
-    "F-q3" -> ((1200L, 30000L, 3, 384L)),
-    "F-q4" -> ((800L, 20000L, 2, 806L)),
-    "F-q5" -> ((1200L, 30000L, 3, 1904L)),
-    "F-q6" -> ((1200L, 30000L, 3, 26880L)),
-    "F-q7" -> ((926L, 23150L, 3, 1424L)),
-    "F-q8" -> ((1200L, 30000L, 3, 1904L)),
-    "F-q9" -> ((1200L, 30000L, 3, 384L)))
+  private type Counters = Map[Strategy, Map[String, (Long, Long, Int, Long)]]
+
+  private def counters(delta: Double, roundRows: Long): Counters =
+    Seq(Strategy.ActivePeek, Strategy.ActiveSync, Strategy.Scan).map { st =>
+      val cfg = EngineConfig(bounder = Bounders.BernsteinRT, delta = delta, roundRows = roundRows,
+        strategy = st, startBlock = 0)
+      st -> FlightsQueries.all.map { q =>
+        val m = Engine.run(scr, q, cfg).metrics
+        q.name -> ((m.blocksFetched, m.rowsProcessed, m.rounds, m.bitmapProbes))
+      }.toMap
+    }.toMap
+
+  /** δ = 1e-15, roundRows = 10 000. At 30 000 rows most queries fetch
+    * every block, so this pin mainly shows that no run stops early.
+    */
+  private val pinnedCounters: Counters = Map(
+    Strategy.ActivePeek -> Map(
+      "F-q1" -> ((1189L, 29725L, 3, 1200L)),
+      "F-q2" -> ((1200L, 30000L, 3, 320L)),
+      "F-q3" -> ((1200L, 30000L, 3, 384L)),
+      "F-q4" -> ((800L, 20000L, 2, 806L)),
+      "F-q5" -> ((1200L, 30000L, 3, 1904L)),
+      "F-q6" -> ((1200L, 30000L, 3, 26880L)),
+      "F-q7" -> ((926L, 23150L, 3, 1424L)),
+      "F-q8" -> ((1200L, 30000L, 3, 1904L)),
+      "F-q9" -> ((1200L, 30000L, 3, 384L))),
+    Strategy.ActiveSync -> Map(
+      "F-q1" -> ((1189L, 29725L, 3, 1200L)),
+      "F-q2" -> ((1200L, 30000L, 3, 1298L)),
+      "F-q3" -> ((1200L, 30000L, 3, 1203L)),
+      "F-q4" -> ((800L, 20000L, 2, 806L)),
+      "F-q5" -> ((1200L, 30000L, 3, 1336L)),
+      "F-q6" -> ((1200L, 30000L, 3, 4284L)),
+      "F-q7" -> ((926L, 23150L, 3, 2151L)),
+      "F-q8" -> ((1200L, 30000L, 3, 1447L)),
+      "F-q9" -> ((1200L, 30000L, 3, 1203L))),
+    Strategy.Scan -> Map(
+      "F-q1" -> ((1189L, 29725L, 3, 1200L)),
+      "F-q2" -> ((1200L, 30000L, 3, 0L)),
+      "F-q3" -> ((1200L, 30000L, 3, 0L)),
+      "F-q4" -> ((800L, 20000L, 2, 806L)),
+      "F-q5" -> ((1200L, 30000L, 3, 0L)),
+      "F-q6" -> ((1200L, 30000L, 3, 0L)),
+      "F-q7" -> ((926L, 23150L, 3, 1200L)),
+      "F-q8" -> ((1200L, 30000L, 3, 0L)),
+      "F-q9" -> ((1200L, 30000L, 3, 0L))))
+
+  /** δ = 1e-3, roundRows = 2 000: views go inactive early, so the counters
+    * also move when the engine changes when a view stops. No δ in (0, 1)
+    * stops all nine queries before the full pass at 30 000 rows (even
+    * δ = 0.9 stops only F-q1, F-q4 and F-q9); at 1e-3, F-q1 and F-q4 stop
+    * early, and F-q2, F-q5, F-q8 and F-q9 probe or fetch less than at 1e-15.
+    */
+  private val pinnedCountersModerateDelta: Counters = Map(
+    Strategy.ActivePeek -> Map(
+      "F-q1" -> ((720L, 18000L, 9, 726L)),
+      "F-q2" -> ((1196L, 29900L, 15, 240L)),
+      "F-q3" -> ((1200L, 30000L, 15, 384L)),
+      "F-q4" -> ((240L, 6000L, 3, 242L)),
+      "F-q5" -> ((1200L, 30000L, 15, 1744L)),
+      "F-q6" -> ((1200L, 30000L, 15, 26880L)),
+      "F-q7" -> ((926L, 23150L, 12, 1424L)),
+      "F-q8" -> ((1200L, 30000L, 15, 1888L)),
+      "F-q9" -> ((1200L, 30000L, 15, 224L))),
+    Strategy.ActiveSync -> Map(
+      "F-q1" -> ((720L, 18000L, 9, 726L)),
+      "F-q2" -> ((1193L, 29825L, 15, 1446L)),
+      "F-q3" -> ((1200L, 30000L, 15, 1203L)),
+      "F-q4" -> ((240L, 6000L, 3, 242L)),
+      "F-q5" -> ((1200L, 30000L, 15, 2202L)),
+      "F-q6" -> ((1200L, 30000L, 15, 4284L)),
+      "F-q7" -> ((926L, 23150L, 12, 2151L)),
+      "F-q8" -> ((1200L, 30000L, 15, 1575L)),
+      "F-q9" -> ((1188L, 29700L, 15, 1203L))),
+    Strategy.Scan -> Map(
+      "F-q1" -> ((720L, 18000L, 9, 726L)),
+      "F-q2" -> ((1200L, 30000L, 15, 0L)),
+      "F-q3" -> ((1200L, 30000L, 15, 0L)),
+      "F-q4" -> ((240L, 6000L, 3, 242L)),
+      "F-q5" -> ((1200L, 30000L, 15, 0L)),
+      "F-q6" -> ((1200L, 30000L, 15, 0L)),
+      "F-q7" -> ((926L, 23150L, 12, 1200L)),
+      "F-q8" -> ((1200L, 30000L, 15, 0L)),
+      "F-q9" -> ((1200L, 30000L, 15, 0L))))
 
   test("counter gate: blocks, rows, rounds and bitmap probes of F-q1..F-q9 at sf=0.005") {
-    val cfg = EngineConfig(bounder = Bounders.BernsteinRT, roundRows = 10000,
-      strategy = Strategy.ActivePeek, startBlock = 0)
-    val got = FlightsQueries.all.map { q =>
-      val m = Engine.run(scr, q, cfg).metrics
-      q.name -> ((m.blocksFetched, m.rowsProcessed, m.rounds, m.bitmapProbes))
-    }.toMap
-    assert(got === pinnedCounters)
+    assert(counters(1e-15, 10000L) === pinnedCounters)
+    assert(counters(1e-3, 2000L) === pinnedCountersModerateDelta)
   }
 
   test("F-q2 terminates before a full pass at small scale with relaxed delta") {

@@ -92,11 +92,21 @@ class CiAggregatesSpec extends SparkSpec {
     val n      = li.count()
     val sample = SparkScramble.prefix(SparkScramble.scramble(li.select("l_quantity"), 3L), n / 10)
     val ciCol = udaf(
-      new CiAvgAggregator(Bounders.BernsteinRT.name, 1.0, 51.0, n, 1e-10),
+      new CiAvgAggregator(Bounders.BernsteinRT, 1.0, 51.0, n, 1e-10),
       org.apache.spark.sql.Encoders.scalaDouble)
     val r      = sample.agg(ciCol(col("l_quantity"))).head.getStruct(0)
     val exact  = li.agg(avg("l_quantity")).head.getDouble(0)
     assert(r.getDouble(1) <= exact && exact <= r.getDouble(2))
+  }
+
+  test("ci_avg_* rejects values outside the caller's [a, b]") {
+    // l_quantity runs up to 50: b = 40 would void the SSI bound.
+    CiAggregates.register(spark, a = 1.0, b = 40.0, n = li.count(), delta = 1e-10)
+    li.createOrReplaceTempView("lineitem_ci")
+    val e = intercept[Exception] {
+      spark.sql("SELECT ci_avg_bernstein_rt(l_quantity) FROM lineitem_ci").collect()
+    }
+    assert(e.getMessage.contains("outside [a, b] = [1.0, 40.0]"), e.getMessage)
   }
 
   test("moment udaf of an empty relation yields the empty state") {
