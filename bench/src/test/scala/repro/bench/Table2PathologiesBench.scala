@@ -2,6 +2,7 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
+import repro.core.StateFolds._
 
 /** Reproduces paper Table 2: pathologies (PMA / PHOS), sampling modes, and
   * memory per error bounder. Printed next to the paper's entries so the

@@ -65,9 +65,6 @@ trait ErrorBounder[S] extends Serializable {
     // bound; collapse to the tighter consistent interval.
     if (lo <= hi) Interval(lo, hi) else Interval(hi, lo)
   }
-
-  /** Fold a whole collection (test convenience). */
-  final def stateOf(vs: Iterable[Double]): S = vs.foldLeft(init)(update)
 }
 
 /** Mixin for bounders whose state is [[MomentState]]; supplies the shared

@@ -80,7 +80,4 @@ object MomentState {
       MomentState(m1, mean1, m21, s.min, s.max)
     }
   }
-
-  /** Fold a whole collection (test convenience). */
-  def of(vs: Iterable[Double]): MomentState = vs.foldLeft(empty)(update)
 }

@@ -39,7 +39,15 @@ object Engine {
   /** ActivePeek lookahead batch, in blocks (a multiple of 64). */
   private val LookaheadBlocks = 1024
 
-  def run(scramble: Scramble, query: FrameQuery, cfg: EngineConfig): QueryRun = {
+  def run(scramble: Scramble, query: FrameQuery, cfg: EngineConfig): QueryRun =
+    run(scramble, query, cfg, FoldPool.shared)
+
+  /** Each round first walks the blocks, deciding which to fetch, then
+    * folds the fetched blocks' rows on `pool` ([[RoundFold]]). The active
+    * set only changes between rounds, so the fetch decisions do not
+    * depend on the fold.
+    */
+  private[fastframe] def run(scramble: Scramble, query: FrameQuery, cfg: EngineConfig, pool: FoldPool): QueryRun = {
     val t0 = System.nanoTime()
 
     val pred       = Predicate.compile(scramble, query.filter)
@@ -63,11 +71,23 @@ object Engine {
     // gid -> per-column codes for the active list (bitmap probe targets).
     var activeCodes: Array[Array[Int]] = activeList.map(codec.codesOf)
 
+    // A round lists at most ceil(B / blockSize) + 1 blocks.
+    val fold = new RoundFold(scramble, pred, codec, aggValues, active,
+      math.min(numBlocks.toLong, cfg.roundRows / scramble.blockSize + 2).toInt)
+
     var coveredAll    = 0L
     var blocksFetched = 0L
     var rowsProcessed = 0L
     var bitmapProbes  = 0L
     var done          = false
+
+    // ActivePeek lookahead mask over batches of LookaheadBlocks blocks.
+    // Words before maskFrom were built for an earlier active set.
+    val batchWords = LookaheadBlocks >>> 6
+    val mask       = new Array[Long](batchWords)
+    val tmpWords   = new Array[Long](batchWords)
+    var maskBatch  = -1
+    var maskFrom   = 0
 
     @inline def coveredOf(g: Int): Long =
       accumCovered(g) + (if (active(g)) coveredAll - activeSince(g) else 0L)
@@ -82,52 +102,66 @@ object Engine {
         g += 1
       }
       val nowActive = query.stop.activeGroups(ledger.snapshot())
+      var changed   = false
       g = 0
       while (g < numGroups) {
         val shouldBeActive = nowActive.contains(g)
         if (active(g) && !shouldBeActive) {
           accumCovered(g) += coveredAll - activeSince(g)
           active(g) = false
+          changed = true
         } else if (!active(g) && shouldBeActive) {
           activeSince(g) = coveredAll
           active(g) = true
+          changed = true
         }
         g += 1
       }
-      activeList = (0 until numGroups).filter(active).toArray
-      activeCodes = activeList.map(codec.codesOf)
+      if (changed) {
+        activeList = (0 until numGroups).filter(active).toArray
+        activeCodes = activeList.map(codec.codesOf)
+        maskFrom = batchWords
+      }
       done = activeList.isEmpty
     }
 
-    // ActivePeek lookahead mask over batches of LookaheadBlocks blocks.
-    val batchWords       = LookaheadBlocks >>> 6
-    val mask             = new Array[Long](batchWords)
-    val tmpWords         = new Array[Long](batchWords)
-    var maskBatch        = -1
-
-    /** ActivePeek: mark the blocks of batch `batchId` that may hold an
-      * active group — the AND of the group's code bitmaps over its group
-      * columns (all ones with none), ORed over the active groups.
+    /** ActivePeek: mark the blocks of batch `batchId` from mask word `w0`
+      * on that may hold an active group — the AND of the group's code
+      * bitmaps over its group columns (all ones with none), ORed over the
+      * active groups.
       */
-    def ensureMask(batchId: Int): Unit = {
-      if (maskBatch == batchId) return
+    def buildMask(batchId: Int, w0: Int): Unit = {
       maskBatch = batchId
-      val from = batchId * LookaheadBlocks
-      java.util.Arrays.fill(mask, 0L)
+      maskFrom = w0
+      val from  = batchId * LookaheadBlocks + 64 * w0
+      val words = batchWords - w0
+      java.util.Arrays.fill(mask, w0, batchWords, 0L)
       var i = 0
       while (i < activeList.length) {
         val codes = activeCodes(i)
-        java.util.Arrays.fill(tmpWords, -1L)
+        java.util.Arrays.fill(tmpWords, 0, words, -1L)
         var c = 0
         while (c < gMaps.length) {
-          gMaps(c).andInto(codes(c), from, LookaheadBlocks, tmpWords)
-          bitmapProbes += batchWords
+          gMaps(c).andInto(codes(c), from, 64 * words, tmpWords)
+          bitmapProbes += words
           c += 1
         }
         var w = 0
-        while (w < batchWords) { mask(w) |= tmpWords(w); w += 1 }
+        while (w < words) { mask(w0 + w) |= tmpWords(w); w += 1 }
         i += 1
       }
+    }
+
+    /** ActivePeek: may block `blk` hold an active group? The mask of its
+      * batch is built on entry, and rebuilt from `blk` on once the active
+      * set has changed.
+      */
+    def peek(blk: Int): Boolean = {
+      val batchId = blk / LookaheadBlocks
+      val off     = blk - batchId * LookaheadBlocks
+      if (batchId != maskBatch) buildMask(batchId, 0)
+      else if ((off >>> 6) < maskFrom) buildMask(batchId, off >>> 6)
+      ((mask(off >>> 6) >>> (off & 63)) & 1L) != 0L
     }
 
     /** ActiveSync: any active group present in this block? One probe per
@@ -150,6 +184,13 @@ object Engine {
       false
     }
 
+    /** Fold the round's listed blocks over the active views into the ledger. */
+    def foldRound(): Unit = {
+      val slices = fold.fold(pool)
+      var s = 0
+      while (s < slices) { ledger.merge(fold.partial(s), activeList); s += 1 }
+    }
+
     var nextRoundAt = cfg.roundRows
     var step        = 0
     while (step < numBlocks && !done) {
@@ -166,10 +207,7 @@ object Engine {
       val fetch = filterOk && (cfg.strategy match {
         case Strategy.Scan       => true
         case Strategy.ActiveSync => syncAnyActive(blk)
-        case Strategy.ActivePeek =>
-          ensureMask(blk / LookaheadBlocks)
-          val off = blk - maskBatch * LookaheadBlocks
-          ((mask(off >>> 6) >>> (off & 63)) & 1L) != 0L
+        case Strategy.ActivePeek => peek(blk)
       })
 
       coveredAll += (end - start)
@@ -177,15 +215,9 @@ object Engine {
       if (fetch) {
         blocksFetched += 1
         rowsProcessed += (end - start)
-        var row = start
-        while (row < end) {
-          if (pred.rowPasses(row)) {
-            val g = codec.gidOf(row)
-            if (active(g)) ledger.add(g, aggValues(row))
-          }
-          row += 1
-        }
+        fold.add(blk)
         if (rowsProcessed >= nextRoundAt) {
+          foldRound()
           recompute()
           nextRoundAt = rowsProcessed + cfg.roundRows
         }
@@ -195,6 +227,7 @@ object Engine {
 
     // Full pass complete (or stop satisfied): groups active the whole way
     // have covered the entire scramble — mark exact and take a final round.
+    foldRound()
     if (!done) recompute()
 
     val results = ledger.snapshot()
@@ -208,8 +241,13 @@ object Engine {
 
   /** Exact baseline: one full (filter-bitmap-pruned) pass, no bounders.
     * Matches the paper's Exact strawman, which always uses Scan (§5.2).
+    * The pass is one block list, folded as `run` folds a round, with
+    * every view active.
     */
-  def runExact(scramble: Scramble, query: FrameQuery, startBlock: Int = 0): QueryRun = {
+  def runExact(scramble: Scramble, query: FrameQuery, startBlock: Int = 0): QueryRun =
+    runExact(scramble, query, startBlock, FoldPool.shared)
+
+  private[fastframe] def runExact(scramble: Scramble, query: FrameQuery, startBlock: Int, pool: FoldPool): QueryRun = {
     val t0        = System.nanoTime()
     val pred      = Predicate.compile(scramble, query.filter)
     val aggValues = scramble.store.num(query.aggCol).values
@@ -217,9 +255,8 @@ object Engine {
 
     val codec     = new GroupCodec(scramble, query.groupBy)
     val numGroups = codec.numGroups
-
-    val sumAr = new Array[Double](numGroups)
-    val cntAr = new Array[Long](numGroups)
+    val views     = Array.tabulate(numGroups)(identity)
+    val fold      = new RoundFold(scramble, pred, codec, aggValues, Array.fill(numGroups)(true), numBlocks)
 
     var blocksFetched = 0L
     var rowsProcessed = 0L
@@ -230,27 +267,21 @@ object Engine {
         blocksFetched += 1
         val (start, end) = scramble.blockRows(blk)
         rowsProcessed += (end - start)
-        var row = start
-        while (row < end) {
-          if (pred.rowPasses(row)) {
-            val g = codec.gidOf(row)
-            sumAr(g) += aggValues(row)
-            cntAr(g) += 1
-          }
-          row += 1
-        }
+        fold.add(blk)
       }
       step += 1
     }
 
-    val results = (0 until numGroups).iterator
-      .filter(g => cntAr(g) > 0)
-      .map { g =>
-        val mean = sumAr(g) / cntAr(g)
-        GroupResult(codec.keyOf(g),
-          GroupBounds(g, cntAr(g), mean, Interval(mean, mean), exact = true))
-      }
-      .toIndexedSeq
+    val mom    = ViewLedger.emptyMoments(numGroups)
+    val slices = fold.fold(pool)
+    var s = 0
+    while (s < slices) { ViewLedger.merge(mom, fold.partial(s), views); s += 1 }
+
+    val results = views.iterator.flatMap { g =>
+      val st = ViewLedger.stateOf(mom, g)
+      if (st.isEmpty) None
+      else Some(GroupResult(codec.keyOf(g), GroupBounds(g, st.m, st.mean, Interval(st.mean, st.mean), exact = true)))
+    }.toIndexedSeq
 
     QueryRun(query, results,
       Metrics(blocksFetched, rowsProcessed, rounds = 0, System.nanoTime() - t0, bitmapProbes = 0))

@@ -34,15 +34,15 @@ object Predicate {
   final class Compiled(scramble: Scramble, p: Predicate) {
     private val conjuncts = flatten(p)
 
-    private val catTests: Array[(Array[Int], Int)] = conjuncts.collect {
-      case CatEq(col, value) =>
-        val c = scramble.store.cat(col)
-        (c.codes, c.codeOf(value))
-    }.toArray
+    // Row tests as parallel primitive arrays: conjunct i passes a row when
+    // catCols(i)(row) == catCodes(i), or numCols(i)(row) > numThresholds(i).
+    private val catEqs                     = conjuncts.collect { case p: CatEq => p }
+    private val catCols: Array[Array[Int]] = catEqs.map(p => scramble.store.cat(p.col).codes).toArray
+    private val catCodes: Array[Int]       = catEqs.map(p => scramble.store.cat(p.col).codeOf(p.value)).toArray
 
-    private val numTests: Array[(Array[Double], Double)] = conjuncts.collect {
-      case NumGt(col, t) => (scramble.store.num(col).values, t)
-    }.toArray
+    private val numGts                        = conjuncts.collect { case p: NumGt => p }
+    private val numCols: Array[Array[Double]] = numGts.map(p => scramble.store.num(p.col).values).toArray
+    private val numThresholds: Array[Double]  = numGts.map(_.threshold).toArray
 
     /** (bitmap, code) pairs for block-level pruning. */
     private val blockPrunes: Array[(BlockBitmap, Int)] = conjuncts.collect {
@@ -51,13 +51,13 @@ object Predicate {
 
     def rowPasses(row: Int): Boolean = {
       var i = 0
-      while (i < catTests.length) {
-        if (catTests(i)._1(row) != catTests(i)._2) return false
+      while (i < catCols.length) {
+        if (catCols(i)(row) != catCodes(i)) return false
         i += 1
       }
       i = 0
-      while (i < numTests.length) {
-        if (!(numTests(i)._1(row) > numTests(i)._2)) return false
+      while (i < numCols.length) {
+        if (!(numCols(i)(row) > numThresholds(i))) return false
         i += 1
       }
       true

@@ -15,8 +15,9 @@ import repro.core.{CountBound, Interval, MomentBounder, MomentState, OptStop}
   * δ-failure artifact) collapses to its midpoint, later rounds intersect
   * with that point, and the view is counted in [[crossedViews]].
   *
-  * A row loop folds values in with [[add]]; engines that aggregate
-  * elsewhere overwrite a view's moments with [[set]].
+  * FastFrame folds rows into partial moment arrays of the same layout
+  * ([[ViewLedger.fold]]) and merges them in with [[merge]]; engines that
+  * aggregate elsewhere overwrite a view's moments with [[set]].
   *
   * @param totalRows rows in the scramble; a view that has covered all of
   *                  them is exact
@@ -29,10 +30,7 @@ final class ViewLedger(
     delta: Double,
     totalRows: Long) {
 
-  // View g's moments sit at mom(5g) … mom(5g + 4): the count (a double,
-  // exact below 2^53), mean, m2, min and max. One array keeps a view's
-  // moments together and costs the row loop one field load per row.
-  private val mom          = new Array[Double](math.multiplyExact(5, numViews))
+  private val mom          = ViewLedger.emptyMoments(numViews)
   private val isExact      = new Array[Boolean](numViews)
   private val lo           = Array.fill(numViews)(a)
   private val hi           = Array.fill(numViews)(b)
@@ -41,11 +39,6 @@ final class ViewLedger(
   private val deltaPerView = delta / numViews
   private var deltaK       = 0.0
   private var round        = 0
-
-  {
-    var g = 0
-    while (g < numViews) { set(g, MomentState.empty); g += 1 }
-  }
 
   private def m(g: Int): Long      = mom(5 * g).toLong
   private def mean(g: Int): Double = mom(5 * g + 1)
@@ -64,18 +57,10 @@ final class ViewLedger(
     deltaK = OptStop.deltaAtRound(deltaPerView, round)
   }
 
-  /** Fold value `v` into view `g` (Welford, as [[MomentState.update]]). */
-  def add(g: Int, v: Double): Unit = {
-    val i     = 5 * g
-    val m1    = mom(i) + 1
-    val d     = v - mom(i + 1)
-    val mean1 = mom(i + 1) + d / m1
-    mom(i + 2) += d * (v - mean1)
-    mom(i + 1) = mean1
-    mom(i) = m1
-    if (v < mom(i + 3)) mom(i + 3) = v
-    if (v > mom(i + 4)) mom(i + 4) = v
-  }
+  /** Merge the partial moments `part` of `views` into the ledger and
+    * empty them in `part` ([[ViewLedger.merge]]).
+    */
+  def merge(part: Array[Double], views: Array[Int]): Unit = ViewLedger.merge(mom, part, views)
 
   /** Overwrite view `g`'s moments (for engines that aggregate elsewhere). */
   def set(g: Int, s: MomentState): Unit = {
@@ -86,9 +71,7 @@ final class ViewLedger(
   /** Has view `g` covered every scramble row? */
   def exact(g: Int): Boolean = isExact(g)
 
-  def stateOf(g: Int): MomentState =
-    if (m(g) == 0) MomentState.empty
-    else MomentState(m(g), mean(g), mom(5 * g + 2), mom(5 * g + 3), mom(5 * g + 4))
+  def stateOf(g: Int): MomentState = ViewLedger.stateOf(mom, g)
 
   /** Fold this round's interval for view `g`, whose sample is the view's
     * rows among `r` scramble rows; `r` ≥ totalRows makes the view exact.
@@ -120,4 +103,72 @@ final class ViewLedger(
       .filterNot(g => isExact(g) && m(g) == 0)
       .map(g => GroupBounds(g, m(g), mean(g), Interval(lo(g), hi(g)), isExact(g)))
       .toIndexedSeq
+}
+
+/** The ledger's moment layout, shared with the partial arrays a round
+  * folds into. View g's moments sit at mom(5g) … mom(5g + 4): the count
+  * (a double, exact below 2^53), mean, m2, min and max. One array keeps a
+  * view's moments together and costs the row loop one field load per row.
+  */
+object ViewLedger {
+
+  /** A moment array of `numViews` empty views. */
+  private[fastframe] def emptyMoments(numViews: Int): Array[Double] = {
+    val mom = new Array[Double](math.multiplyExact(5, numViews))
+    var g = 0
+    while (g < numViews) { clear(mom, g); g += 1 }
+    mom
+  }
+
+  private def clear(mom: Array[Double], g: Int): Unit = {
+    val i = 5 * g
+    mom(i) = 0.0; mom(i + 1) = 0.0; mom(i + 2) = 0.0
+    mom(i + 3) = Double.PositiveInfinity; mom(i + 4) = Double.NegativeInfinity
+  }
+
+  /** Fold value `v` into view `g` of `mom` (Welford, as [[MomentState.update]]). */
+  @inline private[fastframe] def fold(mom: Array[Double], g: Int, v: Double): Unit = {
+    val i     = 5 * g
+    val m1    = mom(i) + 1
+    val d     = v - mom(i + 1)
+    val mean1 = mom(i + 1) + d / m1
+    mom(i + 2) += d * (v - mean1)
+    mom(i + 1) = mean1
+    mom(i) = m1
+    if (v < mom(i + 3)) mom(i + 3) = v
+    if (v > mom(i + 4)) mom(i + 4) = v
+  }
+
+  /** Merge each of `views` from `part` into `mom` (Chan et al., as
+    * [[MomentState.merge]]) and empty it in `part`.
+    */
+  private[fastframe] def merge(mom: Array[Double], part: Array[Double], views: Array[Int]): Unit = {
+    var k = 0
+    while (k < views.length) {
+      val i  = 5 * views(k)
+      val mb = part(i)
+      if (mb > 0) {
+        val ma = mom(i)
+        if (ma == 0) System.arraycopy(part, i, mom, i, 5)
+        else {
+          val m = ma + mb
+          val d = part(i + 1) - mom(i + 1)
+          mom(i + 2) = mom(i + 2) + part(i + 2) + d * d * ma * mb / m
+          mom(i + 1) = mom(i + 1) + d * mb / m
+          mom(i) = m
+          mom(i + 3) = math.min(mom(i + 3), part(i + 3))
+          mom(i + 4) = math.max(mom(i + 4), part(i + 4))
+        }
+        clear(part, views(k))
+      }
+      k += 1
+    }
+  }
+
+  /** View `g` of `mom` as a [[MomentState]]. */
+  private[fastframe] def stateOf(mom: Array[Double], g: Int): MomentState = {
+    val i = 5 * g
+    if (mom(i) == 0) MomentState.empty
+    else MomentState(mom(i).toLong, mom(i + 1), mom(i + 2), mom(i + 3), mom(i + 4))
+  }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.StateFolds._
 import scala.util.Random
 
 /** Anderson/DKW bounder specifics (paper Algorithm 3). */

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.StateFolds._
 import scala.util.Random
 
 /** Bernstein-Serfling bounders vs Hoeffding-Serfling (paper §2.2.3):

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.StateFolds._
 import scala.util.Random
 
 /** Existential wrapper so contract tests can iterate over bounders with

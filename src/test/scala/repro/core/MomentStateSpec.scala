@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.PropertyChecks
+import repro.core.StateFolds._
 
 /** Unit and property tests for the Welford/Chan moment state. */
 class MomentStateSpec extends AnyFunSuite with PropertyChecks {

@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.core.StateFolds._
 import scala.util.Random
 
 /** Behavioral detectors for the two error-bounder pathologies the paper

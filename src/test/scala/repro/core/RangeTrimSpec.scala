@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.PropertyChecks
+import repro.core.StateFolds._
 import scala.util.Random
 
 /** RangeTrim-specific behavior (paper §3.2–3.3): PHOS elimination,

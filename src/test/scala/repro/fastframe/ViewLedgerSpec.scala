@@ -1,11 +1,14 @@
 package repro.fastframe
 
+import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropertyChecks
 import repro.core.{Bounders, CountBound, Interval, MomentBounder, MomentState, OptStop}
+import repro.core.StateFolds._
 import scala.util.Random
 
 /** The Algorithm-5 / Theorem-3 bookkeeping shared by both engines. */
-class ViewLedgerSpec extends AnyFunSuite {
+class ViewLedgerSpec extends AnyFunSuite with PropertyChecks {
 
   test("one view's trajectory is the hand composition of deltaAtRound, nUpper, interval and intersection") {
     val (a, b, delta, total) = (0.0, 10.0, 1e-6, 20000L)
@@ -75,5 +78,55 @@ class ViewLedgerSpec extends AnyFunSuite {
     assert(seen === List(Interval(5.0, 6.0), Interval(7.0, 7.0), Interval(7.0, 7.0), Interval(7.25, 7.25)))
     // Crossed twice, but one view: counted once.
     assert(ledger.crossedViews === 1)
+  }
+
+  /** Partial moment arrays of `numViews` views, one per list of (view, value) pairs. */
+  private def partialsOf(numViews: Int, parts: Seq[Seq[(Int, Double)]]): Seq[Array[Double]] =
+    parts.map { pairs =>
+      val part = ViewLedger.emptyMoments(numViews)
+      pairs.foreach { case (g, v) => ViewLedger.fold(part, g, v) }
+      part
+    }
+
+  test("merging partials agrees with a sequential update fold and empties the partials") {
+    val (a, b)   = (-50.0, 200.0)
+    val numViews = 3
+    val value    = Gen.frequency(1 -> Gen.const(a), 1 -> Gen.const(b), 6 -> Gen.chooseNum(a, b))
+    val pair     = Gen.zip(Gen.choose(0, numViews - 1), value)
+    // Empty and one-value partials among longer ones.
+    val part     = Gen.frequency(1 -> Gen.const(Nil), 1 -> pair.map(List(_)), 4 -> Gen.listOf(pair))
+    forAll(Gen.choose(0, 5).flatMap(Gen.listOfN(_, part))) { parts =>
+      val ledger = new ViewLedger(numViews, Bounders.BernsteinRT, a, b, 1e-6, 1000L)
+      val views  = Array.tabulate(numViews)(identity)
+      val arrays = partialsOf(numViews, parts)
+      arrays.foreach(ledger.merge(_, views))
+      arrays.foreach(p => assert(p.sameElements(ViewLedger.emptyMoments(numViews))))
+      for (g <- views) {
+        val expect = parts.flatten.collect { case (`g`, v) => v }.foldLeft(MomentState.empty)(MomentState.update)
+        val got    = ledger.stateOf(g)
+        assert(got.m === expect.m)
+        assert(got.min === expect.min && got.max === expect.max)
+        assert(math.abs(got.mean - expect.mean) <= 1e-12 * math.max(math.abs(a), math.abs(b)))
+        assert(math.abs(got.m2 - expect.m2) <= 1e-12 * math.max(expect.m2, (b - a) * (b - a)))
+      }
+    }
+  }
+
+  test("one partial merged into empty views equals the sequential fold exactly") {
+    val rng    = new Random(4L)
+    val pairs  = Seq.fill(500)((rng.nextInt(2), rng.nextGaussian() * 10))
+    val ledger = new ViewLedger(2, Bounders.BernsteinRT, -100.0, 100.0, 1e-6, 1000L)
+    ledger.merge(partialsOf(2, Seq(pairs)).head, Array(0, 1))
+    for (g <- 0 to 1)
+      assert(ledger.stateOf(g) === MomentState.of(pairs.collect { case (`g`, v) => v }))
+  }
+
+  test("merge touches only the listed views") {
+    val ledger = new ViewLedger(2, Bounders.BernsteinRT, 0.0, 10.0, 1e-6, 1000L)
+    val part   = partialsOf(2, Seq(Seq(0 -> 1.0, 1 -> 2.0))).head
+    ledger.merge(part, Array(1))
+    assert(ledger.stateOf(0) === MomentState.empty)
+    assert(ledger.stateOf(1) === MomentState.of(Seq(2.0)))
+    assert(ViewLedger.stateOf(part, 0) === MomentState.of(Seq(1.0)))
   }
 }

@@ -46,6 +46,8 @@ class FlightsQueriesSpec extends SparkSpec {
     * startBlock = 0): (blocksFetched, rowsProcessed, rounds, bitmapProbes).
     * Any change to what the engine fetches, how it probes the bitmaps or
     * when it recomputes moves these; a refactor must leave them as they are.
+    * ActivePeek's probes include rebuilding the rest of a lookahead batch
+    * whenever the active set changes mid-batch.
     */
   private type Counters = Map[Strategy, Map[String, (Long, Long, Int, Long)]]
 
@@ -65,13 +67,13 @@ class FlightsQueriesSpec extends SparkSpec {
   private val pinnedCounters: Counters = Map(
     Strategy.ActivePeek -> Map(
       "F-q1" -> ((1189L, 29725L, 3, 1200L)),
-      "F-q2" -> ((1200L, 30000L, 3, 320L)),
+      "F-q2" -> ((1200L, 30000L, 3, 452L)),
       "F-q3" -> ((1200L, 30000L, 3, 384L)),
       "F-q4" -> ((800L, 20000L, 2, 806L)),
-      "F-q5" -> ((1200L, 30000L, 3, 1904L)),
+      "F-q5" -> ((1200L, 30000L, 3, 2140L)),
       "F-q6" -> ((1200L, 30000L, 3, 26880L)),
       "F-q7" -> ((926L, 23150L, 3, 1424L)),
-      "F-q8" -> ((1200L, 30000L, 3, 1904L)),
+      "F-q8" -> ((1200L, 30000L, 3, 2494L)),
       "F-q9" -> ((1200L, 30000L, 3, 384L))),
     Strategy.ActiveSync -> Map(
       "F-q1" -> ((1189L, 29725L, 3, 1200L)),
@@ -103,14 +105,14 @@ class FlightsQueriesSpec extends SparkSpec {
   private val pinnedCountersModerateDelta: Counters = Map(
     Strategy.ActivePeek -> Map(
       "F-q1" -> ((720L, 18000L, 9, 726L)),
-      "F-q2" -> ((1196L, 29900L, 15, 240L)),
+      "F-q2" -> ((1193L, 29825L, 15, 913L)),
       "F-q3" -> ((1200L, 30000L, 15, 384L)),
       "F-q4" -> ((240L, 6000L, 3, 242L)),
-      "F-q5" -> ((1200L, 30000L, 15, 1744L)),
+      "F-q5" -> ((1200L, 30000L, 15, 5643L)),
       "F-q6" -> ((1200L, 30000L, 15, 26880L)),
       "F-q7" -> ((926L, 23150L, 12, 1424L)),
-      "F-q8" -> ((1200L, 30000L, 15, 1888L)),
-      "F-q9" -> ((1200L, 30000L, 15, 224L))),
+      "F-q8" -> ((1200L, 30000L, 15, 4987L)),
+      "F-q9" -> ((1188L, 29700L, 15, 501L))),
     Strategy.ActiveSync -> Map(
       "F-q1" -> ((720L, 18000L, 9, 726L)),
       "F-q2" -> ((1193L, 29825L, 15, 1446L)),
@@ -135,6 +137,16 @@ class FlightsQueriesSpec extends SparkSpec {
   test("counter gate: blocks, rows, rounds and bitmap probes of F-q1..F-q9 at sf=0.005") {
     assert(counters(1e-15, 10000L) === pinnedCounters)
     assert(counters(1e-3, 2000L) === pinnedCountersModerateDelta)
+  }
+
+  test("ActivePeek fetches the blocks ActiveSync fetches on F-q1..F-q9 at both pins") {
+    // Both strategies fetch a block iff it may hold a view active at that
+    // block; they differ only in how they probe the bitmaps.
+    for ((delta, roundRows) <- Seq((1e-15, 10000L), (1e-3, 2000L))) {
+      val c = counters(delta, roundRows)
+      def fetched(st: Strategy) = c(st).map { case (q, (blocks, rows, rounds, _)) => q -> ((blocks, rows, rounds)) }
+      assert(fetched(Strategy.ActivePeek) === fetched(Strategy.ActiveSync), s"delta = $delta")
+    }
   }
 
   test("F-q2 terminates before a full pass at small scale with relaxed delta") {

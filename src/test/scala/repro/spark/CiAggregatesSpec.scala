@@ -2,6 +2,7 @@ package repro.spark
 
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core.{Bounders, MomentState}
+import repro.core.StateFolds._
 import org.apache.spark.sql.functions._
 
 /** Distributed CI aggregation: the Spark aggregation must reproduce the
