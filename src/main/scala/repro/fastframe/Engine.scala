@@ -67,9 +67,30 @@ object Engine {
     val active       = Array.fill(numGroups)(true)
     val activeSince  = new Array[Long](numGroups)
     val accumCovered = new Array[Long](numGroups)
-    var activeList: Array[Int] = Array.tabulate(numGroups)(identity)
-    // gid -> per-column codes for the active list (bitmap probe targets).
-    var activeCodes: Array[Array[Int]] = activeList.map(codec.codesOf)
+    // The stop condition's verdict per view, and its sort space.
+    val wanted       = new Array[Boolean](numGroups)
+    val stopScratch  = new StopCondition.Scratch(numGroups)
+    // The first numActive entries of activeList are the active gids in
+    // order; activeCodes holds their per-column codes, numCols per gid
+    // (bitmap probe targets). Rebuilt in place when the active set changes.
+    val numCols     = codec.numCols
+    val activeList  = new Array[Int](numGroups)
+    val activeCodes = new Array[Int](math.multiplyExact(numGroups, numCols))
+    var numActive   = 0
+
+    def listActive(): Unit = {
+      numActive = 0
+      var g = 0
+      while (g < numGroups) {
+        if (active(g)) {
+          activeList(numActive) = g
+          codec.codesInto(g, activeCodes, numActive * numCols)
+          numActive += 1
+        }
+        g += 1
+      }
+    }
+    listActive()
 
     // A round lists at most ceil(B / blockSize) + 1 blocks.
     val fold = new RoundFold(scramble, pred, codec, aggValues, active,
@@ -101,11 +122,11 @@ object Engine {
         if (active(g) || r >= totalRows) ledger.update(g, r)
         g += 1
       }
-      val nowActive = query.stop.activeGroups(ledger.snapshot())
-      var changed   = false
+      query.stop.mark(ledger, wanted, stopScratch)
+      var changed = false
       g = 0
       while (g < numGroups) {
-        val shouldBeActive = nowActive.contains(g)
+        val shouldBeActive = wanted(g)
         if (active(g) && !shouldBeActive) {
           accumCovered(g) += coveredAll - activeSince(g)
           active(g) = false
@@ -118,11 +139,10 @@ object Engine {
         g += 1
       }
       if (changed) {
-        activeList = (0 until numGroups).filter(active).toArray
-        activeCodes = activeList.map(codec.codesOf)
+        listActive()
         maskFrom = batchWords
       }
-      done = activeList.isEmpty
+      done = numActive == 0
     }
 
     /** ActivePeek: mark the blocks of batch `batchId` from mask word `w0`
@@ -137,12 +157,11 @@ object Engine {
       val words = batchWords - w0
       java.util.Arrays.fill(mask, w0, batchWords, 0L)
       var i = 0
-      while (i < activeList.length) {
-        val codes = activeCodes(i)
+      while (i < numActive) {
         java.util.Arrays.fill(tmpWords, 0, words, -1L)
         var c = 0
-        while (c < gMaps.length) {
-          gMaps(c).andInto(codes(c), from, 64 * words, tmpWords)
+        while (c < numCols) {
+          gMaps(c).andInto(activeCodes(i * numCols + c), from, 64 * words, tmpWords)
           bitmapProbes += words
           c += 1
         }
@@ -169,13 +188,12 @@ object Engine {
       */
     def syncAnyActive(blk: Int): Boolean = {
       var i = 0
-      while (i < activeList.length) {
-        val codes = activeCodes(i)
+      while (i < numActive) {
         var ok = true
         var c  = 0
-        while (ok && c < gMaps.length) {
+        while (ok && c < numCols) {
           bitmapProbes += 1
-          ok = gMaps(c).contains(codes(c), blk)
+          ok = gMaps(c).contains(activeCodes(i * numCols + c), blk)
           c += 1
         }
         if (ok) return true
@@ -188,15 +206,13 @@ object Engine {
     def foldRound(): Unit = {
       val slices = fold.fold(pool)
       var s = 0
-      while (s < slices) { ledger.merge(fold.partial(s), activeList); s += 1 }
+      while (s < slices) { ledger.merge(fold.partial(s), activeList, numActive); s += 1 }
     }
 
     var nextRoundAt = cfg.roundRows
     var step        = 0
     while (step < numBlocks && !done) {
       val blk = (cfg.startBlock + step) % numBlocks
-      // Block bounds as plain ints: a tuple per block is only removed when
-      // the JIT's escape analysis happens to cover this loop.
       val start = blk * scramble.blockSize
       val end   = math.min(totalRows, start + scramble.blockSize)
 
@@ -265,7 +281,8 @@ object Engine {
       val blk = (startBlock + step) % numBlocks
       if (!pred.hasBlockPrunes || pred.blockMayMatch(blk)) {
         blocksFetched += 1
-        val (start, end) = scramble.blockRows(blk)
+        val start = blk * scramble.blockSize
+        val end   = math.min(scramble.numRows, start + scramble.blockSize)
         rowsProcessed += (end - start)
         fold.add(blk)
       }
@@ -275,7 +292,7 @@ object Engine {
     val mom    = ViewLedger.emptyMoments(numGroups)
     val slices = fold.fold(pool)
     var s = 0
-    while (s < slices) { ViewLedger.merge(mom, fold.partial(s), views); s += 1 }
+    while (s < slices) { ViewLedger.merge(mom, fold.partial(s), views, numGroups); s += 1 }
 
     val results = views.iterator.flatMap { g =>
       val st = ViewLedger.stateOf(mom, g)

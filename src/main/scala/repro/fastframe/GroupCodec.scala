@@ -23,18 +23,22 @@ final class GroupCodec(scramble: Scramble, groupBy: Seq[String]) {
     id
   }
 
-  /** Per-column codes of a gid (inverse of [[gidOf]]). */
-  def codesOf(gid: Int): Array[Int] = {
-    val out = new Array[Int](cards.length)
+  /** Number of group-by columns. */
+  def numCols: Int = cards.length
+
+  /** Write the per-column codes of a gid (inverse of [[gidOf]]) to
+    * `out(off)` … `out(off + numCols - 1)`.
+    */
+  def codesInto(gid: Int, out: Array[Int], off: Int): Unit = {
     var rem = gid
     var i   = cards.length - 1
-    while (i >= 0) { out(i) = rem % cards(i); rem /= cards(i); i -= 1 }
-    out
+    while (i >= 0) { out(off + i) = rem % cards(i); rem /= cards(i); i -= 1 }
   }
 
   /** Dictionary values of a gid, one per group-by column. */
   def keyOf(gid: Int): Seq[String] = {
-    val codes = codesOf(gid)
+    val codes = new Array[Int](numCols)
+    codesInto(gid, codes, 0)
     codes.indices.map(i => dicts(i)(codes(i)))
   }
 }

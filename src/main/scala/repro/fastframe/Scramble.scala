@@ -29,10 +29,6 @@ final class Scramble private (
 
   def bitmap(col: String): BlockBitmap =
     bitmaps.getOrElse(col, throw new NoSuchElementException(s"no bitmap for column '$col'"))
-
-  /** Row bounds [start, end) of block `blk`. */
-  def blockRows(blk: Int): (Int, Int) =
-    (blk * blockSize, math.min(numRows, (blk + 1) * blockSize))
 }
 
 object Scramble {

@@ -2,11 +2,26 @@ package repro.fastframe
 
 import repro.core.Interval
 
-/** Per-group snapshot handed to stopping conditions: running sample count,
+/** One group's bounds, as a result reports them: running sample count,
   * estimate ĝ, current (running-intersection) confidence interval, and
   * whether the group's view has been fully scanned (exact).
   */
 final case class GroupBounds(gid: Int, m: Long, mean: Double, iv: Interval, exact: Boolean)
+
+/** The per-view columns a stopping condition reads, by view slot
+  * 0 until `numViews`, served in place by their owner ([[ViewLedger]]).
+  * A slot that is not `present` holds a view known to be empty (fully
+  * scanned, no rows): it does not exist and takes no part in any rule.
+  */
+trait ViewTable {
+  def numViews: Int
+  def present(g: Int): Boolean
+  def m(g: Int): Long
+  def mean(g: Int): Double
+  def lo(g: Int): Double
+  def hi(g: Int): Double
+  def exact(g: Int): Boolean
+}
 
 /** The six stopping conditions of paper §4.2, each paired with its
   * active-group rule from §4.3. A group is *active* while it should keep
@@ -15,28 +30,121 @@ final case class GroupBounds(gid: Int, m: Long, mean: Double, iv: Interval, exac
   */
 sealed trait StopCondition {
 
-  /** Indices (gids) of groups that still need samples. */
-  def activeGroups(gs: IndexedSeq[GroupBounds]): Set[Int]
+  /** Set `active(g)` for every slot g of `t` that still needs samples,
+    * clear it for every other slot, and return how many are set.
+    * Allocates nothing; `scratch` must hold at least `t.numViews` slots.
+    */
+  def mark(t: ViewTable, active: Array[Boolean], scratch: StopCondition.Scratch): Int
+
+  /** Gids of the groups in `gs` that still need samples ([[mark]] over the
+    * snapshot, whose slots are the positions in `gs`).
+    */
+  final def activeGroups(gs: IndexedSeq[GroupBounds]): Set[Int] = {
+    val active = new Array[Boolean](gs.size)
+    mark(new StopCondition.SnapshotTable(gs), active, new StopCondition.Scratch(gs.size))
+    gs.indices.iterator.filter(active).map(gs(_).gid).toSet
+  }
 
   final def satisfied(gs: IndexedSeq[GroupBounds]): Boolean = activeGroups(gs).isEmpty
 }
 
 object StopCondition {
 
-  private def live(g: GroupBounds): Boolean = !g.exact
+  /** Reusable sort space for [[StopCondition.mark]] over up to `capacity`
+    * views. It belongs to one run: conditions are shared between callers.
+    */
+  final class Scratch(capacity: Int) {
+    private val order = new Array[Int](capacity)
+    private val tmp   = new Array[Int](capacity)
+    private val key   = new Array[Double](capacity)
+
+    /** The present slots of `t` in slot order; returns their number. */
+    private[StopCondition] def present(t: ViewTable): Int = {
+      var n = 0
+      var g = 0
+      while (g < t.numViews) {
+        if (t.present(g)) { order(n) = g; n += 1 }
+        g += 1
+      }
+      n
+    }
+
+    private[StopCondition] def setKey(g: Int, k: Double): Unit = key(g) = k
+
+    /** The i-th listed slot. */
+    private[StopCondition] def at(i: Int): Int = order(i)
+
+    /** Sort the first `n` listed slots by key (`java.lang.Double.compare`),
+      * stably: equal keys keep slot order.
+      */
+    private[StopCondition] def sort(n: Int): Unit = mergeSort(0, n)
+
+    private def mergeSort(from: Int, to: Int): Unit =
+      if (to - from > 1) {
+        val mid = (from + to) >>> 1
+        mergeSort(from, mid)
+        mergeSort(mid, to)
+        if (java.lang.Double.compare(key(order(mid - 1)), key(order(mid))) > 0) {
+          var i = from
+          var j = mid
+          var k = from
+          while (k < to) {
+            if (j >= to || (i < mid && java.lang.Double.compare(key(order(i)), key(order(j))) <= 0)) {
+              tmp(k) = order(i); i += 1
+            } else { tmp(k) = order(j); j += 1 }
+            k += 1
+          }
+          System.arraycopy(tmp, from, order, from, to - from)
+        }
+      }
+  }
+
+  /** A snapshot as a table: slot i is `gs(i)`, and every slot is present. */
+  private final class SnapshotTable(gs: IndexedSeq[GroupBounds]) extends ViewTable {
+    def numViews: Int            = gs.size
+    def present(g: Int): Boolean = true
+    def m(g: Int): Long          = gs(g).m
+    def mean(g: Int): Double     = gs(g).mean
+    def lo(g: Int): Double       = gs(g).iv.lo
+    def hi(g: Int): Double       = gs(g).iv.hi
+    def exact(g: Int): Boolean   = gs(g).exact
+  }
+
+  /** A rule that looks at each view on its own: a present, inexact view
+    * is active while `needsSamples` holds for it.
+    */
+  sealed abstract class PerView extends StopCondition {
+    protected def needsSamples(t: ViewTable, g: Int): Boolean
+
+    final override def mark(t: ViewTable, active: Array[Boolean], scratch: Scratch): Int = {
+      var n = 0
+      var g = 0
+      while (g < t.numViews) {
+        val on = t.present(g) && !t.exact(g) && needsSamples(t, g)
+        active(g) = on
+        if (on) n += 1
+        g += 1
+      }
+      n
+    }
+  }
+
+  /** Clear `active` over `t`'s slots; returns 0. */
+  private def clear(t: ViewTable, active: Array[Boolean]): Int = {
+    java.util.Arrays.fill(active, 0, t.numViews, false)
+    0
+  }
 
   /** ❶ Desired Samples Taken: active until m samples contribute. */
-  final case class DesiredSamples(m: Long) extends StopCondition {
+  final case class DesiredSamples(m: Long) extends PerView {
     require(m > 0, "desired sample count must be positive")
-    override def activeGroups(gs: IndexedSeq[GroupBounds]): Set[Int] =
-      gs.iterator.filter(g => live(g) && g.m < m).map(_.gid).toSet
+    protected def needsSamples(t: ViewTable, g: Int): Boolean = t.m(g) < m
   }
 
   /** ❷ Sufficient Absolute Accuracy: active while width ≥ ε. */
-  final case class AbsoluteWidth(eps: Double) extends StopCondition {
+  final case class AbsoluteWidth(eps: Double) extends PerView {
     require(eps > 0, "eps must be positive")
-    override def activeGroups(gs: IndexedSeq[GroupBounds]): Set[Int] =
-      gs.iterator.filter(g => live(g) && g.iv.width >= eps).map(_.gid).toSet
+    protected def needsSamples(t: ViewTable, g: Int): Boolean = t.hi(g) - t.lo(g) >= eps
   }
 
   /** ❸ Sufficient Relative Accuracy: active while
@@ -44,21 +152,19 @@ object StopCondition {
     * never certify a relative error, so such groups stay active (they
     * terminate via exactness at the latest).
     */
-  final case class RelativeWidth(eps: Double) extends StopCondition {
+  final case class RelativeWidth(eps: Double) extends PerView {
     require(eps > 0, "eps must be positive")
-
-    def relErr(g: GroupBounds): Double =
-      if (g.iv.lo <= 0 && g.iv.hi >= 0) Double.PositiveInfinity
-      else math.max((g.iv.hi - g.mean) / math.abs(g.iv.hi), (g.mean - g.iv.lo) / math.abs(g.iv.lo))
-
-    override def activeGroups(gs: IndexedSeq[GroupBounds]): Set[Int] =
-      gs.iterator.filter(g => live(g) && relErr(g) >= eps).map(_.gid).toSet
+    protected def needsSamples(t: ViewTable, g: Int): Boolean = {
+      val lo = t.lo(g)
+      val hi = t.hi(g)
+      (lo <= 0 && hi >= 0) ||
+        math.max((hi - t.mean(g)) / math.abs(hi), (t.mean(g) - lo) / math.abs(lo)) >= eps
+    }
   }
 
   /** ❹ Threshold Side Determined: active while v ∈ [g_ℓ, g_r]. */
-  final case class ThresholdSide(v: Double) extends StopCondition {
-    override def activeGroups(gs: IndexedSeq[GroupBounds]): Set[Int] =
-      gs.iterator.filter(g => live(g) && g.iv.contains(v)).map(_.gid).toSet
+  final case class ThresholdSide(v: Double) extends PerView {
+    protected def needsSamples(t: ViewTable, g: Int): Boolean = t.lo(g) <= v && v <= t.hi(g)
   }
 
   /** ❺ Top-K (or Bottom-K) Separated: the K groups with the largest
@@ -71,52 +177,67 @@ object StopCondition {
   final case class TopKSeparated(k: Int, largest: Boolean) extends StopCondition {
     require(k > 0, "k must be positive")
 
-    override def activeGroups(gs: IndexedSeq[GroupBounds]): Set[Int] = {
-      if (gs.size <= k) return Set.empty
-      val sorted = if (largest) gs.sortBy(-_.mean) else gs.sortBy(_.mean)
-      val top    = sorted.take(k)
-      val rest   = sorted.drop(k)
-      val mid    = (sorted(k - 1).mean + sorted(k).mean) / 2
-      val active = Set.newBuilder[Int]
-      if (largest) {
-        top.iterator.filter(g => live(g) && g.iv.lo <= mid).foreach(g => active += g.gid)
-        rest.iterator.filter(g => live(g) && g.iv.hi >= mid).foreach(g => active += g.gid)
-      } else {
-        top.iterator.filter(g => live(g) && g.iv.hi >= mid).foreach(g => active += g.gid)
-        rest.iterator.filter(g => live(g) && g.iv.lo <= mid).foreach(g => active += g.gid)
+    override def mark(t: ViewTable, active: Array[Boolean], scratch: Scratch): Int = {
+      clear(t, active)
+      val n = scratch.present(t)
+      if (n <= k) return 0
+      var i = 0
+      while (i < n) {
+        val g = scratch.at(i)
+        scratch.setKey(g, if (largest) -t.mean(g) else t.mean(g))
+        i += 1
       }
-      val result = active.result()
+      scratch.sort(n)
+      val mid = (t.mean(scratch.at(k - 1)) + t.mean(scratch.at(k))) / 2
+      // The top group's bound nearest the rest, and the rest's nearest the top.
+      var topNear  = if (largest) Double.PositiveInfinity else Double.NegativeInfinity
+      var restNear = if (largest) Double.NegativeInfinity else Double.PositiveInfinity
+      var count    = 0
+      i = 0
+      while (i < n) {
+        val g = scratch.at(i)
+        val crosses =
+          if (i < k) {
+            if (largest) { topNear = math.min(topNear, t.lo(g)); t.lo(g) <= mid }
+            else { topNear = math.max(topNear, t.hi(g)); t.hi(g) >= mid }
+          } else {
+            if (largest) { restNear = math.max(restNear, t.hi(g)); t.hi(g) >= mid }
+            else { restNear = math.min(restNear, t.lo(g)); t.lo(g) <= mid }
+          }
+        if (crosses && !t.exact(g)) { active(g) = true; count += 1 }
+        i += 1
+      }
       // Exactness can leave crossing-but-frozen groups; separation itself
       // decides termination then.
-      if (result.isEmpty || separated(top, rest)) Set.empty else result
+      val separated = if (largest) topNear > restNear else topNear < restNear
+      if (count == 0 || separated) clear(t, active) else count
     }
-
-    private def separated(top: IndexedSeq[GroupBounds], rest: IndexedSeq[GroupBounds]): Boolean =
-      if (largest) top.map(_.iv.lo).min > rest.map(_.iv.hi).max
-      else top.map(_.iv.hi).max < rest.map(_.iv.lo).min
   }
 
   /** ❻ Groups Ordered Correctly: a group is active while its interval
     * intersects any other group's interval.
     */
   case object GroupsOrdered extends StopCondition {
-    override def activeGroups(gs: IndexedSeq[GroupBounds]): Set[Int] = {
-      if (gs.size <= 1) return Set.empty
-      val sorted = gs.sortBy(_.iv.lo)
-      val active = Set.newBuilder[Int]
+    override def mark(t: ViewTable, active: Array[Boolean], scratch: Scratch): Int = {
+      clear(t, active)
+      val n = scratch.present(t)
+      if (n <= 1) return 0
       var i = 0
-      while (i < sorted.size - 1) {
-        // Sorted by lo, interval i intersects j > i iff it reaches j's lo
-        // (i.lo ≤ j.lo ≤ j.hi holds already).
-        var j = i + 1
-        while (j < sorted.size && sorted(j).iv.lo <= sorted(i).iv.hi) {
-          if (live(sorted(i))) active += sorted(i).gid
-          if (live(sorted(j))) active += sorted(j).gid
-          j += 1
-        }
+      while (i < n) { val g = scratch.at(i); scratch.setKey(g, t.lo(g)); i += 1 }
+      scratch.sort(n)
+      // Sorted by lo, interval i meets a later one iff it reaches the next
+      // lo, and an earlier one iff the highest earlier hi reaches its lo.
+      var count   = 0
+      var reachHi = Double.NegativeInfinity
+      i = 0
+      while (i < n) {
+        val g = scratch.at(i)
+        val meets = (i > 0 && reachHi >= t.lo(g)) || (i + 1 < n && t.lo(scratch.at(i + 1)) <= t.hi(g))
+        if (meets && !t.exact(g)) { active(g) = true; count += 1 }
+        reachHi = math.max(reachHi, t.hi(g))
         i += 1
       }
-      active.result()
+      count
     }
   }
 }

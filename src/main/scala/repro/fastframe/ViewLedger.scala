@@ -17,31 +17,40 @@ import repro.core.{CountBound, Interval, MomentBounder, MomentState, OptStop}
   *
   * FastFrame folds rows into partial moment arrays of the same layout
   * ([[ViewLedger.fold]]) and merges them in with [[merge]]; engines that
-  * aggregate elsewhere overwrite a view's moments with [[set]].
+  * aggregate elsewhere overwrite a view's moments with [[set]]. Stopping
+  * conditions read the ledger's columns in place as a [[ViewTable]].
   *
   * @param totalRows rows in the scramble; a view that has covered all of
   *                  them is exact
   */
 final class ViewLedger(
-    numViews: Int,
+    val numViews: Int,
     bounder: MomentBounder,
     a: Double,
     b: Double,
     delta: Double,
-    totalRows: Long) {
+    totalRows: Long) extends ViewTable {
 
   private val mom          = ViewLedger.emptyMoments(numViews)
   private val isExact      = new Array[Boolean](numViews)
-  private val lo           = Array.fill(numViews)(a)
-  private val hi           = Array.fill(numViews)(b)
+  private val runLo        = Array.fill(numViews)(a)
+  private val runHi        = Array.fill(numViews)(b)
   private val crossed      = new Array[Boolean](numViews)
   private var numCrossed   = 0
   private val deltaPerView = delta / numViews
   private var deltaK       = 0.0
   private var round        = 0
 
-  private def m(g: Int): Long      = mom(5 * g).toLong
-  private def mean(g: Int): Double = mom(5 * g + 1)
+  def m(g: Int): Long      = mom(5 * g).toLong
+  def mean(g: Int): Double = mom(5 * g + 1)
+  def lo(g: Int): Double   = runLo(g)
+  def hi(g: Int): Double   = runHi(g)
+
+  /** Has view `g` covered every scramble row? */
+  def exact(g: Int): Boolean = isExact(g)
+
+  /** Fully covered empty views do not exist. */
+  def present(g: Int): Boolean = !isExact(g) || mom(5 * g) > 0
 
   /** Rounds started so far. */
   def rounds: Int = round
@@ -57,19 +66,17 @@ final class ViewLedger(
     deltaK = OptStop.deltaAtRound(deltaPerView, round)
   }
 
-  /** Merge the partial moments `part` of `views` into the ledger and
-    * empty them in `part` ([[ViewLedger.merge]]).
+  /** Merge the partial moments `part` of the first `count` of `views`
+    * into the ledger and empty them in `part` ([[ViewLedger.merge]]).
     */
-  def merge(part: Array[Double], views: Array[Int]): Unit = ViewLedger.merge(mom, part, views)
+  def merge(part: Array[Double], views: Array[Int], count: Int): Unit =
+    ViewLedger.merge(mom, part, views, count)
 
   /** Overwrite view `g`'s moments (for engines that aggregate elsewhere). */
   def set(g: Int, s: MomentState): Unit = {
     val i = 5 * g
     mom(i) = s.m.toDouble; mom(i + 1) = s.mean; mom(i + 2) = s.m2; mom(i + 3) = s.min; mom(i + 4) = s.max
   }
-
-  /** Has view `g` covered every scramble row? */
-  def exact(g: Int): Boolean = isExact(g)
 
   def stateOf(g: Int): MomentState = ViewLedger.stateOf(mom, g)
 
@@ -79,29 +86,27 @@ final class ViewLedger(
   def update(g: Int, r: Long): Unit =
     if (r >= totalRows) {
       isExact(g) = true
-      if (m(g) > 0) { lo(g) = mean(g); hi(g) = mean(g) }
+      if (m(g) > 0) { runLo(g) = mean(g); runHi(g) = mean(g) }
     } else {
       val nPlus = CountBound.nUpper(m(g), r, totalRows, deltaK, CountBound.DefaultAlpha)
       val iv    = bounder.interval(stateOf(g), a, b, nPlus, CountBound.DefaultAlpha * deltaK)
-      lo(g) = math.max(lo(g), iv.lo)
-      hi(g) = math.min(hi(g), iv.hi)
-      if (lo(g) > hi(g)) {
-        val mid = (lo(g) + hi(g)) / 2
-        lo(g) = mid; hi(g) = mid
+      runLo(g) = math.max(runLo(g), iv.lo)
+      runHi(g) = math.min(runHi(g), iv.hi)
+      if (runLo(g) > runHi(g)) {
+        val mid = (runLo(g) + runHi(g)) / 2
+        runLo(g) = mid; runHi(g) = mid
         if (!crossed(g)) { crossed(g) = true; numCrossed += 1 }
       }
     }
 
   /** View `g`'s running interval. */
-  def interval(g: Int): Interval = Interval(lo(g), hi(g))
+  def interval(g: Int): Interval = Interval(runLo(g), runHi(g))
 
-  /** Every view for the stop condition; fully covered empty views do not
-    * exist and are left out.
-    */
+  /** Every present view, in gid order. */
   def snapshot(): IndexedSeq[GroupBounds] =
     (0 until numViews).iterator
-      .filterNot(g => isExact(g) && m(g) == 0)
-      .map(g => GroupBounds(g, m(g), mean(g), Interval(lo(g), hi(g)), isExact(g)))
+      .filter(present)
+      .map(g => GroupBounds(g, m(g), mean(g), interval(g), isExact(g)))
       .toIndexedSeq
 }
 
@@ -139,12 +144,12 @@ object ViewLedger {
     if (v > mom(i + 4)) mom(i + 4) = v
   }
 
-  /** Merge each of `views` from `part` into `mom` (Chan et al., as
-    * [[MomentState.merge]]) and empty it in `part`.
+  /** Merge each of the first `count` of `views` from `part` into `mom`
+    * (Chan et al., as [[MomentState.merge]]) and empty it in `part`.
     */
-  private[fastframe] def merge(mom: Array[Double], part: Array[Double], views: Array[Int]): Unit = {
+  private[fastframe] def merge(mom: Array[Double], part: Array[Double], views: Array[Int], count: Int): Unit = {
     var k = 0
-    while (k < views.length) {
+    while (k < count) {
       val i  = 5 * views(k)
       val mb = part(i)
       if (mb > 0) {

@@ -59,6 +59,8 @@ object OptStopSpark {
     val totalRows = scrambled.count()
     val ledger    = new ViewLedger(numViewsUpper, bounder, a, b, delta, totalRows)
     val slotOf    = mutable.LinkedHashMap.empty[Seq[String], Int]
+    val active    = new Array[Boolean](numViewsUpper)
+    val scratch   = new StopCondition.Scratch(numViewsUpper)
 
     var r        = math.min(initialPrefix, totalRows)
     var rowsRead = 0L
@@ -92,7 +94,7 @@ object OptStopSpark {
       var g = 0
       while (g < numViewsUpper) { ledger.update(g, r); g += 1 }
 
-      done = r >= totalRows || stop.satisfied(ledger.snapshot())
+      done = r >= totalRows || stop.mark(ledger, active, scratch) == 0
       if (!done) r = math.min(totalRows, 2 * r)
     }
 

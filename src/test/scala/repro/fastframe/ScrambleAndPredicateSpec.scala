@@ -6,6 +6,12 @@ import scala.util.Random
 /** Scramble construction and predicate compilation. */
 class ScrambleAndPredicateSpec extends AnyFunSuite {
 
+  /** Row bounds [start, end) of a block, as the engines compute them. */
+  private implicit class BlockRows(scr: Scramble) {
+    def blockRows(blk: Int): (Int, Int) =
+      (blk * scr.blockSize, math.min(scr.numRows, (blk + 1) * scr.blockSize))
+  }
+
   private def store(n: Int, seed: Long = 1L): ColumnStore = {
     val rng = new Random(seed)
     new ColumnStore(

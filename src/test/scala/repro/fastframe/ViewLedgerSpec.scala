@@ -99,7 +99,7 @@ class ViewLedgerSpec extends AnyFunSuite with PropertyChecks {
       val ledger = new ViewLedger(numViews, Bounders.BernsteinRT, a, b, 1e-6, 1000L)
       val views  = Array.tabulate(numViews)(identity)
       val arrays = partialsOf(numViews, parts)
-      arrays.foreach(ledger.merge(_, views))
+      arrays.foreach(ledger.merge(_, views, views.length))
       arrays.foreach(p => assert(p.sameElements(ViewLedger.emptyMoments(numViews))))
       for (g <- views) {
         val expect = parts.flatten.collect { case (`g`, v) => v }.foldLeft(MomentState.empty)(MomentState.update)
@@ -116,7 +116,7 @@ class ViewLedgerSpec extends AnyFunSuite with PropertyChecks {
     val rng    = new Random(4L)
     val pairs  = Seq.fill(500)((rng.nextInt(2), rng.nextGaussian() * 10))
     val ledger = new ViewLedger(2, Bounders.BernsteinRT, -100.0, 100.0, 1e-6, 1000L)
-    ledger.merge(partialsOf(2, Seq(pairs)).head, Array(0, 1))
+    ledger.merge(partialsOf(2, Seq(pairs)).head, Array(0, 1), 2)
     for (g <- 0 to 1)
       assert(ledger.stateOf(g) === MomentState.of(pairs.collect { case (`g`, v) => v }))
   }
@@ -124,7 +124,7 @@ class ViewLedgerSpec extends AnyFunSuite with PropertyChecks {
   test("merge touches only the listed views") {
     val ledger = new ViewLedger(2, Bounders.BernsteinRT, 0.0, 10.0, 1e-6, 1000L)
     val part   = partialsOf(2, Seq(Seq(0 -> 1.0, 1 -> 2.0))).head
-    ledger.merge(part, Array(1))
+    ledger.merge(part, Array(1), 1)
     assert(ledger.stateOf(0) === MomentState.empty)
     assert(ledger.stateOf(1) === MomentState.of(Seq(2.0)))
     assert(ViewLedger.stateOf(part, 0) === MomentState.of(Seq(1.0)))
