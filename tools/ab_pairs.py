@@ -2,7 +2,6 @@
 """A/B pairs of benchmark runs: a base revision against the working tree.
 
     python3 tools/ab_pairs.py --base <rev> --workload <w> --pairs N --seeds S [S ...]
-                              [--seconds 20] [--out results.json]
 
 Run from the repository root. The base revision is unpacked with
 `git archive` into one temporary directory ("parent"), and the working
@@ -11,15 +10,20 @@ into another ("change"), so that both sides run from fresh directories of
 the same shape. Each pair runs `perfbench/run.py --trace 0` once on each
 side, on the same seed, alternating which side runs first. Pair i uses
 seed S[i mod len(S)]. Each side builds its own perfbench on its first run.
+Every run lasts the `run_seconds` of BENCHMARK.json.
 
 For every end-to-end metric in BENCHMARK.json the script prints each
-side's median and quartiles, the change/parent ratio of the medians, the
-pairs the change won (ties count for neither side) and a verdict:
+side's median and quartiles over its successful runs, the change/parent
+ratio of the medians, the pairs the change won out of all pairs run (ties,
+and pairs with a failed run, count for neither side) and a verdict:
 
-  gain        the change won at least 9 of every 10 pairs and the medians
-              differ by more than the parent's interquartile range
+  unresolved  either side's interquartile range is wider than the metric's
+              bound in BENCHMARK.json, relative to that side's median
+  gain        the change won at least 9 of every 10 pairs run, the medians
+              differ by more than the parent's interquartile range, and no
+              more of the change's runs failed than of the parent's
   worse       the change's median is worse than the parent's by more than
-              the metric's bound in BENCHMARK.json
+              the metric's bound
   no gain     anything else
 
 It also prints whether each pair's `# counters:` lines (blocks, rows,
@@ -79,15 +83,19 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-def verdict(spec, parent, change, wins, pairs):
+def verdict(spec, parent, change, wins, pairs, more_failures):
+    """Verdict on one metric: its successful runs per side, the change's wins
+    over all `pairs` run, and whether more change runs failed than parent runs."""
     p1, pm, p3 = quartiles(parent)
-    _, cm, _ = quartiles(change)
+    c1, cm, c3 = quartiles(change)
+    bound = spec["bound"]
+    if p3 - p1 > bound * abs(pm) or c3 - c1 > bound * abs(cm):
+        return "unresolved"
     lower = spec["better"] == "lower"
     improved = cm < pm if lower else cm > pm
-    if 10 * wins >= 9 * pairs and improved and abs(cm - pm) > p3 - p1:
+    if 10 * wins >= 9 * pairs and improved and abs(cm - pm) > p3 - p1 and not more_failures:
         return "gain"
-    worse_by = (cm - pm) / pm if lower else (pm - cm) / pm
-    if pm != 0 and worse_by > spec["bound"]:
+    if pm != 0 and ((cm - pm) / pm if lower else (pm - cm) / pm) > bound:
         return "worse"
     return "no gain"
 
@@ -98,14 +106,11 @@ def main():
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: run_seconds of BENCHMARK.json)")
-    ap.add_argument("--out", help="also write every run's metrics to this JSON file")
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     specs = bench["end_to_end"]
 
     base_dir = tempfile.mkdtemp(prefix="ab_pairs_base_")
@@ -134,17 +139,14 @@ def main():
         shutil.rmtree(base_dir, ignore_errors=True)
         shutil.rmtree(change_dir, ignore_errors=True)
 
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump({"base": args.base, "workload": args.workload, "seconds": seconds,
-                       "runs": runs}, f, indent=1)
-
     done = [p for p in runs if p["parent"]["metrics"] and p["change"]["metrics"]]
     failed = len(runs) - len(done)
+    fails = {s: sum(1 for p in runs if not p[s]["metrics"]) for s in ("parent", "change")}
     same = sum(1 for p in runs if p["parent"]["counters"] and
                p["parent"]["counters"] == p["change"]["counters"])
     print(f"\n# {args.workload}: {len(done)} complete pairs of {len(runs)} "
-          f"({failed} with a failed run), {seconds:g} s runs, base {args.base}")
+          f"({failed} with a failed run; failed runs: parent {fails['parent']}, "
+          f"change {fails['change']}), {seconds:g} s runs, base {args.base}")
     print(f"# counters lines identical in {same} of {len(runs)} pairs")
     if not done:
         sys.exit(1)
@@ -153,16 +155,19 @@ def main():
                      "wins", "verdict"))
     for spec in specs:
         name = spec["name"]
-        parent = [p["parent"]["metrics"][name] for p in done]
-        change = [p["change"]["metrics"][name] for p in done]
+        parent = [p["parent"]["metrics"][name] for p in runs if p["parent"]["metrics"]]
+        change = [p["change"]["metrics"][name] for p in runs if p["change"]["metrics"]]
         lower = spec["better"] == "lower"
-        wins = sum(1 for a, b in zip(parent, change) if (b < a if lower else b > a))
+        wins = sum(1 for p in done
+                   if (p["change"]["metrics"][name] < p["parent"]["metrics"][name] if lower
+                       else p["change"]["metrics"][name] > p["parent"]["metrics"][name]))
         p1, pm, p3 = quartiles(parent)
         c1, cm, c3 = quartiles(change)
         ratio = cm / pm if pm else float("nan")
         print(row.format(name, f"{pm:.4g} [{p1:.4g}, {p3:.4g}]", f"{cm:.4g} [{c1:.4g}, {c3:.4g}]",
-                         f"{ratio:.3f}", f"{wins}/{len(done)}",
-                         verdict(spec, parent, change, wins, len(done))))
+                         f"{ratio:.3f}", f"{wins}/{len(runs)}",
+                         verdict(spec, parent, change, wins, len(runs),
+                                 fails["change"] > fails["parent"])))
     if failed or same != len(runs):
         sys.exit(1)
 
