@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.flights.{FlightsData, PaperTables}
+import repro.flights.{FlightsScramble, PaperTables}
 
 /** Reproduces paper Table 5: average speedup over Exact per query for
   * Hoeffding, Hoeffding+RT, Bernstein, and Bernstein+RT (ActivePeek
@@ -29,7 +29,7 @@ class Table5BoundersBench extends SparkSpec {
     "F-q9" -> Seq(1.16, 1.34, 143.84, 157.94))
 
   test("Table 5: bounder ablation over all nine queries") {
-    val scramble = FlightsData.scramble(spark, sf = BenchConfig.sf)
+    val scramble = FlightsScramble(spark, sf = BenchConfig.sf)
     val rows     = PaperTables.table5(scramble, repeats = BenchConfig.repeats)
 
     println(s"== Table 5 reproduction (sf=${BenchConfig.sf}, ${scramble.numRows} rows, " +

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.flights.{FlightsData, PaperTables}
+import repro.flights.{FlightsScramble, PaperTables}
 
 /** Reproduces paper Table 6: average speedup over Scan for ActiveSync and
   * ActivePeek (Bernstein+RT bounder), restricted to the GROUP BY queries
@@ -18,7 +18,7 @@ class Table6SamplingBench extends SparkSpec {
     "F-q8" -> (1.40, 5.35))
 
   test("Table 6: sampling-strategy ablation with Bernstein+RT") {
-    val scramble = FlightsData.scramble(spark, sf = BenchConfig.sf)
+    val scramble = FlightsScramble(spark, sf = BenchConfig.sf)
     val rows     = PaperTables.table6(scramble, repeats = BenchConfig.repeats)
 
     println(s"== Table 6 reproduction (sf=${BenchConfig.sf}, ${scramble.numRows} rows) ==")

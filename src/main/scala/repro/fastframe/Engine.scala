@@ -1,6 +1,6 @@
 package repro.fastframe
 
-import repro.core.{Interval, MomentBounder}
+import repro.core.{Bounders, MomentBounder}
 
 /** Sampling strategies of paper §4.3 / §5.2. */
 sealed trait Strategy
@@ -202,13 +202,6 @@ object Engine {
       false
     }
 
-    /** Fold the round's listed blocks over the active views into the ledger. */
-    def foldRound(): Unit = {
-      val slices = fold.fold(pool)
-      var s = 0
-      while (s < slices) { ledger.merge(fold.partial(s), activeList, numActive); s += 1 }
-    }
-
     var nextRoundAt = cfg.roundRows
     var step        = 0
     while (step < numBlocks && !done) {
@@ -233,7 +226,7 @@ object Engine {
         rowsProcessed += (end - start)
         fold.add(blk)
         if (rowsProcessed >= nextRoundAt) {
-          foldRound()
+          fold.foldInto(ledger, activeList, numActive, pool)
           recompute()
           nextRoundAt = rowsProcessed + cfg.roundRows
         }
@@ -243,7 +236,7 @@ object Engine {
 
     // Full pass complete (or stop satisfied): groups active the whole way
     // have covered the entire scramble — mark exact and take a final round.
-    foldRound()
+    fold.foldInto(ledger, activeList, numActive, pool)
     if (!done) recompute()
 
     val results = ledger.snapshot()
@@ -255,52 +248,17 @@ object Engine {
         ledger.crossedViews))
   }
 
-  /** Exact baseline: one full (filter-bitmap-pruned) pass, no bounders.
+  /** Exact baseline: one full (filter-bitmap-pruned) pass, no bounds.
     * Matches the paper's Exact strawman, which always uses Scan (§5.2).
-    * The pass is one block list, folded as `run` folds a round, with
-    * every view active.
+    * It is `run` under [[exactConfig]]: every view stays active and has
+    * covered every row at the one recompute, which makes it exact with the
+    * point interval [mean, mean] and never calls the bounder.
     */
   def runExact(scramble: Scramble, query: FrameQuery, startBlock: Int = 0): QueryRun =
-    runExact(scramble, query, startBlock, FoldPool.shared)
+    run(scramble, query, exactConfig(startBlock))
 
-  private[fastframe] def runExact(scramble: Scramble, query: FrameQuery, startBlock: Int, pool: FoldPool): QueryRun = {
-    val t0        = System.nanoTime()
-    val pred      = Predicate.compile(scramble, query.filter)
-    val aggValues = scramble.store.num(query.aggCol).values
-    val numBlocks = scramble.numBlocks
-
-    val codec     = new GroupCodec(scramble, query.groupBy)
-    val numGroups = codec.numGroups
-    val views     = Array.tabulate(numGroups)(identity)
-    val fold      = new RoundFold(scramble, pred, codec, aggValues, Array.fill(numGroups)(true), numBlocks)
-
-    var blocksFetched = 0L
-    var rowsProcessed = 0L
-    var step = 0
-    while (step < numBlocks) {
-      val blk = (startBlock + step) % numBlocks
-      if (!pred.hasBlockPrunes || pred.blockMayMatch(blk)) {
-        blocksFetched += 1
-        val start = blk * scramble.blockSize
-        val end   = math.min(scramble.numRows, start + scramble.blockSize)
-        rowsProcessed += (end - start)
-        fold.add(blk)
-      }
-      step += 1
-    }
-
-    val mom    = ViewLedger.emptyMoments(numGroups)
-    val slices = fold.fold(pool)
-    var s = 0
-    while (s < slices) { ViewLedger.merge(mom, fold.partial(s), views, numGroups); s += 1 }
-
-    val results = views.iterator.flatMap { g =>
-      val st = ViewLedger.stateOf(mom, g)
-      if (st.isEmpty) None
-      else Some(GroupResult(codec.keyOf(g), GroupBounds(g, st.m, st.mean, Interval(st.mean, st.mean), exact = true)))
-    }.toIndexedSeq
-
-    QueryRun(query, results,
-      Metrics(blocksFetched, rowsProcessed, rounds = 0, System.nanoTime() - t0, bitmapProbes = 0))
-  }
+  /** Scan, with the whole pass as one round. */
+  private[fastframe] def exactConfig(startBlock: Int): EngineConfig =
+    // A config needs a bounder; exact views never reach it.
+    EngineConfig(Bounders.Hoeffding, roundRows = Long.MaxValue, strategy = Strategy.Scan, startBlock = startBlock)
 }

@@ -45,9 +45,11 @@ final case class QueryRun(
 
 /** Run metrics. `blocksFetched` is the paper's primary hardware-
   * independent cost metric; `bitmapProbes` counts index accesses
-  * (per-block probes for ActiveSync, 64-block words for ActivePeek);
+  * (per-block filter probes for a bitmap-prunable filter, plus per-block
+  * group probes for ActiveSync and 64-block words for ActivePeek);
   * `crossedViews` counts views whose running intersection crossed
-  * ([[ViewLedger.crossedViews]]).
+  * ([[ViewLedger.crossedViews]]). Exact is one Scan round: it reports
+  * 1 round and only its filter probes.
   */
 final case class Metrics(
     blocksFetched: Long,

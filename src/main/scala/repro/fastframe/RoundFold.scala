@@ -7,8 +7,8 @@ import java.util.concurrent.locks.LockSupport
   * cut into at most [[RoundFold.Slices]] contiguous slices of at least
   * [[RoundFold.MinSliceBlocks]] blocks. Slice s folds the rows of active
   * views into its own partial moment array ([[ViewLedger]]'s layout), on
-  * whichever [[FoldPool]] thread claims it; the caller then merges the
-  * partials into the ledger in slice order.
+  * whichever [[FoldPool]] thread claims it; the partials are then merged
+  * into the ledger in slice order.
   *
   * The cut depends only on the number of listed blocks and each partial
   * only on its slice's rows, so the merged moments are bit-identical for
@@ -37,11 +37,11 @@ private[fastframe] final class RoundFold(
   /** List block `blk` for the next fold. */
   def add(blk: Int): Unit = { blocks(len) = blk; len += 1 }
 
-  /** Fold the listed blocks' rows into the partials and clear the list;
-    * returns the number of slices (0 for an empty list), whose partials
-    * the caller merges with [[partial]] in slice order.
+  /** Fold the listed blocks' rows into the partials, merge the partials
+    * into `ledger` in slice order over the first `count` of `views` (the
+    * active ones) and clear the list.
     */
-  def fold(pool: FoldPool): Int = {
+  def foldInto(ledger: ViewLedger, views: Array[Int], count: Int, pool: FoldPool): Unit = {
     numSlices = if (len == 0) 0 else math.max(1, math.min(Slices, len / MinSliceBlocks))
     var s = 0
     while (s < numSlices) {
@@ -49,12 +49,10 @@ private[fastframe] final class RoundFold(
       s += 1
     }
     if (numSlices > 0) pool.run(this, numSlices)
+    s = 0
+    while (s < numSlices) { ledger.merge(partials(s), views, count); s += 1 }
     len = 0
-    numSlices
   }
-
-  /** Slice `s`'s partial moments from the last [[fold]]. */
-  def partial(s: Int): Array[Double] = partials(s)
 
   /** Fold slice `s` of the listed blocks; any thread may call it. */
   def foldSlice(s: Int): Unit = {

@@ -44,8 +44,6 @@ sealed trait StopCondition {
     mark(new StopCondition.SnapshotTable(gs), active, new StopCondition.Scratch(gs.size))
     gs.indices.iterator.filter(active).map(gs(_).gid).toSet
   }
-
-  final def satisfied(gs: IndexedSeq[GroupBounds]): Boolean = activeGroups(gs).isEmpty
 }
 
 object StopCondition {

@@ -66,11 +66,32 @@ final class ViewLedger(
     deltaK = OptStop.deltaAtRound(deltaPerView, round)
   }
 
-  /** Merge the partial moments `part` of the first `count` of `views`
-    * into the ledger and empty them in `part` ([[ViewLedger.merge]]).
+  /** Merge each of the first `count` of `views` from the partial moments
+    * `part` into the ledger (Chan et al., as [[MomentState.merge]]) and
+    * empty it in `part`.
     */
-  def merge(part: Array[Double], views: Array[Int], count: Int): Unit =
-    ViewLedger.merge(mom, part, views, count)
+  def merge(part: Array[Double], views: Array[Int], count: Int): Unit = {
+    var k = 0
+    while (k < count) {
+      val i  = 5 * views(k)
+      val mb = part(i)
+      if (mb > 0) {
+        val ma = mom(i)
+        if (ma == 0) System.arraycopy(part, i, mom, i, 5)
+        else {
+          val m = ma + mb
+          val d = part(i + 1) - mom(i + 1)
+          mom(i + 2) = mom(i + 2) + part(i + 2) + d * d * ma * mb / m
+          mom(i + 1) = mom(i + 1) + d * mb / m
+          mom(i) = m
+          mom(i + 3) = math.min(mom(i + 3), part(i + 3))
+          mom(i + 4) = math.max(mom(i + 4), part(i + 4))
+        }
+        ViewLedger.clear(part, views(k))
+      }
+      k += 1
+    }
+  }
 
   /** Overwrite view `g`'s moments (for engines that aggregate elsewhere). */
   def set(g: Int, s: MomentState): Unit = {
@@ -78,7 +99,11 @@ final class ViewLedger(
     mom(i) = s.m.toDouble; mom(i + 1) = s.mean; mom(i + 2) = s.m2; mom(i + 3) = s.min; mom(i + 4) = s.max
   }
 
-  def stateOf(g: Int): MomentState = ViewLedger.stateOf(mom, g)
+  def stateOf(g: Int): MomentState = {
+    val i = 5 * g
+    if (mom(i) == 0) MomentState.empty
+    else MomentState(mom(i).toLong, mom(i + 1), mom(i + 2), mom(i + 3), mom(i + 4))
+  }
 
   /** Fold this round's interval for view `g`, whose sample is the view's
     * rows among `r` scramble rows; `r` ≥ totalRows makes the view exact.
@@ -142,38 +167,5 @@ object ViewLedger {
     mom(i) = m1
     if (v < mom(i + 3)) mom(i + 3) = v
     if (v > mom(i + 4)) mom(i + 4) = v
-  }
-
-  /** Merge each of the first `count` of `views` from `part` into `mom`
-    * (Chan et al., as [[MomentState.merge]]) and empty it in `part`.
-    */
-  private[fastframe] def merge(mom: Array[Double], part: Array[Double], views: Array[Int], count: Int): Unit = {
-    var k = 0
-    while (k < count) {
-      val i  = 5 * views(k)
-      val mb = part(i)
-      if (mb > 0) {
-        val ma = mom(i)
-        if (ma == 0) System.arraycopy(part, i, mom, i, 5)
-        else {
-          val m = ma + mb
-          val d = part(i + 1) - mom(i + 1)
-          mom(i + 2) = mom(i + 2) + part(i + 2) + d * d * ma * mb / m
-          mom(i + 1) = mom(i + 1) + d * mb / m
-          mom(i) = m
-          mom(i + 3) = math.min(mom(i + 3), part(i + 3))
-          mom(i + 4) = math.max(mom(i + 4), part(i + 4))
-        }
-        clear(part, views(k))
-      }
-      k += 1
-    }
-  }
-
-  /** View `g` of `mom` as a [[MomentState]]. */
-  private[fastframe] def stateOf(mom: Array[Double], g: Int): MomentState = {
-    val i = 5 * g
-    if (mom(i) == 0) MomentState.empty
-    else MomentState(mom(i).toLong, mom(i + 1), mom(i + 2), mom(i + 3), mom(i + 4))
   }
 }

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
-import repro.fastframe.{CatColumn, ColumnStore, NumColumn, Scramble}
+import repro.fastframe.{CatColumn, ColumnStore, NumColumn}
 
 /** Synthetic stand-in for the FLIGHTS dataset (paper Table 3; see
   * DESIGN.md §2 for the substitution rationale). Five attributes, as in
@@ -176,10 +176,4 @@ object FlightsData {
         "DepDelay" -> NumColumn("DepDelay", delayAr),
         "DepTime"  -> NumColumn("DepTime", deptimeAr)))
   }
-
-  /** Generate, collect, and scramble in one step. */
-  def scramble(
-      spark: SparkSession, sf: Double = 0.1, seed: Long = 7L,
-      blockSize: Int = Scramble.DefaultBlockSize, shuffleSeed: Long = 17L): Scramble =
-    Scramble.fromStore(toStore(df(spark, sf, seed)), blockSize, shuffleSeed)
 }

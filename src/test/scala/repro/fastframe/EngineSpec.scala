@@ -1,7 +1,9 @@
 package repro.fastframe
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Bounders
+import java.util.concurrent.atomic.AtomicInteger
+
+import repro.core.{Bounders, MomentBounder, MomentState}
 import scala.util.Random
 
 /** End-to-end engine behavior on a small synthetic store where exact
@@ -209,6 +211,51 @@ class EngineSpec extends AnyFunSuite {
     assert(run.results.size === 1)
     assert(covers(run.results.head.bounds.iv, ref))
     assert(run.results.head.bounds.iv.width < 0.2 || run.results.head.bounds.exact)
+  }
+
+  test("Exact's one-round Scan pass never calls the bounder and makes every view exact") {
+    val calls = new AtomicInteger
+    val counting = new MomentBounder {
+      val name = "counting"
+      def lbound(s: MomentState, a: Double, b: Double, n: Long, d: Double): Double = { calls.incrementAndGet(); a }
+      def rbound(s: MomentState, a: Double, b: Double, n: Long, d: Double): Double = { calls.incrementAndGet(); b }
+    }
+    val queries = Seq(
+      FrameQuery("grouped", "v", Predicate.True, Seq("g"), StopCondition.ThresholdSide(1.0)),
+      FrameQuery("filtered", "v", Predicate.NumGt("t", 30.0), Seq("g", "h"), StopCondition.GroupsOrdered),
+      FrameQuery("pruned", "v", Predicate.CatEq("g", "g5"), Nil, StopCondition.AbsoluteWidth(0.2)))
+    for (q <- queries; start <- Seq(0, 117)) {
+      val run = Engine.run(scr, q, Engine.exactConfig(start).copy(bounder = counting))
+      assert(run.metrics.rounds === 1)
+      assert(run.results.nonEmpty)
+      run.results.foreach { r =>
+        assert(r.bounds.exact, s"${q.name} ${r.key}")
+        assert(r.bounds.iv.lo === r.bounds.mean && r.bounds.iv.hi === r.bounds.mean, s"${q.name} ${r.key}")
+      }
+    }
+    assert(calls.get === 0)
+  }
+
+  test("empty inputs give empty answers under every strategy and Exact") {
+    // Dictionary value "unseen" has no row.
+    def store(n: Int) = new ColumnStore(
+      cats = Map("g" -> CatColumn("g", Array.tabulate(n)(_ % 2), Array("g0", "g1", "unseen"))),
+      nums = Map(
+        "v" -> NumColumn("v", Array.tabulate(n)(i => (i % 7).toDouble)),
+        "t" -> NumColumn("t", Array.tabulate(n)(i => (i % 100).toDouble))))
+    val full  = Scramble.fromStore(store(1000), blockSize = 25, seed = 2L)
+    val empty = Scramble.fromStore(store(0), blockSize = 25, seed = 2L)
+    val cases = Seq(
+      empty -> FrameQuery("empty store", "v", Predicate.True, Seq("g"), StopCondition.GroupsOrdered),
+      full  -> FrameQuery("no row passes", "v", Predicate.NumGt("t", 99.0), Seq("g"), StopCondition.ThresholdSide(3.0)),
+      full  -> FrameQuery("absent value", "v", Predicate.CatEq("g", "unseen"), Nil, StopCondition.AbsoluteWidth(0.5)))
+    for ((s, q) <- cases) {
+      val runs = Engine.runExact(s, q) +:
+        Seq(Strategy.Scan, Strategy.ActiveSync, Strategy.ActivePeek).map(st => Engine.run(s, q, cfg(Bounders.BernsteinRT, st)))
+      runs.foreach(r => assert(r.results.isEmpty, q.name))
+      // No block holds the absent value, so the filter bitmap prunes them all.
+      if (q.name == "absent value") runs.foreach(r => assert(r.metrics.blocksFetched === 0, q.name))
+    }
   }
 
   test("a group domain past the cap is rejected, not wrapped") {

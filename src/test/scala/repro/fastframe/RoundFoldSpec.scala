@@ -66,7 +66,7 @@ class RoundFoldSpec extends AnyFunSuite {
         val runs = for (q <- queries; c <- configs) yield
           (bits(Engine.run(scr, q, c, p0)), bits(Engine.run(scr, q, c, p3)))
         val exact = for (q <- queries; sb <- Seq(0, 977)) yield
-          (bits(Engine.runExact(scr, q, sb, p0)), bits(Engine.runExact(scr, q, sb, p3)))
+          (bits(Engine.run(scr, q, Engine.exactConfig(sb), p0)), bits(Engine.run(scr, q, Engine.exactConfig(sb), p3)))
         (runs ++ exact).unzip
       }
     }

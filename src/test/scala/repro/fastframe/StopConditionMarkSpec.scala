@@ -7,6 +7,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.PropertyChecks
 import repro.core.{Bounders, Interval, MomentState}
 import StopCondition._
+import StopConditionReference.Satisfied
 
 import scala.collection.mutable
 import scala.util.Random

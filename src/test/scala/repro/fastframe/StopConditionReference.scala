@@ -11,6 +11,11 @@ object StopConditionReference {
 
   private def live(g: GroupBounds): Boolean = !g.exact
 
+  /** `c.satisfied(gs)`: `c` keeps no group of `gs` active. */
+  implicit final class Satisfied(private val c: StopCondition) extends AnyVal {
+    def satisfied(gs: IndexedSeq[GroupBounds]): Boolean = c.activeGroups(gs).isEmpty
+  }
+
   /** Gids of the groups in `gs` that `c` keeps active. */
   def activeGroups(c: StopCondition, gs: IndexedSeq[GroupBounds]): Set[Int] = c match {
     case DesiredSamples(m) =>

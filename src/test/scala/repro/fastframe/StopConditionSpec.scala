@@ -3,6 +3,7 @@ package repro.fastframe
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Interval
 import StopCondition._
+import StopConditionReference.Satisfied
 
 /** The six stopping conditions and their active-group rules (paper §4.2–4.3). */
 class StopConditionSpec extends AnyFunSuite {

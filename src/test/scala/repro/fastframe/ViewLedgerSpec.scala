@@ -127,6 +127,9 @@ class ViewLedgerSpec extends AnyFunSuite with PropertyChecks {
     ledger.merge(part, Array(1), 1)
     assert(ledger.stateOf(0) === MomentState.empty)
     assert(ledger.stateOf(1) === MomentState.of(Seq(2.0)))
-    assert(ViewLedger.stateOf(part, 0) === MomentState.of(Seq(1.0)))
+    // View 0 stays in the partial: merging it elsewhere finds its value.
+    val other = new ViewLedger(2, Bounders.BernsteinRT, 0.0, 10.0, 1e-6, 1000L)
+    other.merge(part, Array(0), 1)
+    assert(other.stateOf(0) === MomentState.of(Seq(1.0)))
   }
 }

@@ -136,7 +136,7 @@ class FlightsDataSpec extends SparkSpec {
   }
 
   test("scramble helper builds a consistent scramble") {
-    val scr = FlightsData.scramble(spark, sf = 0.002)
+    val scr = FlightsScramble(spark, sf = 0.002)
     assert(scr.numRows === (FlightsData.RowsPerSf * 0.002).toLong)
     assert(scr.blockSize === 25)
     val (a, b) = scr.range("DepDelay")

@@ -10,7 +10,7 @@ import repro.fastframe._
   */
 class FlightsQueriesSpec extends SparkSpec {
 
-  private lazy val scr = FlightsData.scramble(spark, sf = 0.005)
+  private lazy val scr = FlightsScramble(spark, sf = 0.005)
 
   test("Table-4 stopping-condition mapping") {
     assert(FlightsQueries.q1().stop === StopCondition.RelativeWidth(0.5))
@@ -134,9 +134,29 @@ class FlightsQueriesSpec extends SparkSpec {
       "F-q8" -> ((1200L, 30000L, 15, 0L)),
       "F-q9" -> ((1200L, 30000L, 15, 0L))))
 
+  /** Exact's (blocksFetched, rowsProcessed) from startBlock 0: the whole
+    * pass, less the blocks F-q1/F-q4's Origin = 'ORD' and F-q7's
+    * Airline = 'HP' bitmaps prune.
+    */
+  private val pinnedExactCounters: Map[String, (Long, Long)] = Map(
+    "F-q1" -> ((1189L, 29725L)),
+    "F-q2" -> ((1200L, 30000L)),
+    "F-q3" -> ((1200L, 30000L)),
+    "F-q4" -> ((1189L, 29725L)),
+    "F-q5" -> ((1200L, 30000L)),
+    "F-q6" -> ((1200L, 30000L)),
+    "F-q7" -> ((926L, 23150L)),
+    "F-q8" -> ((1200L, 30000L)),
+    "F-q9" -> ((1200L, 30000L)))
+
   test("counter gate: blocks, rows, rounds and bitmap probes of F-q1..F-q9 at sf=0.005") {
     assert(counters(1e-15, 10000L) === pinnedCounters)
     assert(counters(1e-3, 2000L) === pinnedCountersModerateDelta)
+    val exact = FlightsQueries.all.map { q =>
+      val m = Engine.runExact(scr, q).metrics
+      q.name -> ((m.blocksFetched, m.rowsProcessed))
+    }.toMap
+    assert(exact === pinnedExactCounters)
   }
 
   test("ActivePeek fetches the blocks ActiveSync fetches on F-q1..F-q9 at both pins") {
