@@ -37,7 +37,7 @@ final case class EngineConfig(
 object Engine {
 
   /** ActivePeek lookahead batch, in blocks (a multiple of 64). */
-  private val LookaheadBlocks = 1024
+  private[fastframe] val LookaheadBlocks = 1024
 
   def run(scramble: Scramble, query: FrameQuery, cfg: EngineConfig): QueryRun =
     run(scramble, query, cfg, FoldPool.shared)
@@ -148,16 +148,22 @@ object Engine {
     /** ActivePeek: mark the blocks of batch `batchId` from mask word `w0`
       * on that may hold an active group — the AND of the group's code
       * bitmaps over its group columns (all ones with none), ORed over the
-      * active groups.
+      * active groups. The OR stops once every block of the batch from `w0`
+      * on is marked (saturated): later groups cannot change the mask, and
+      * only the groups ANDed count probes.
       */
     def buildMask(batchId: Int, w0: Int): Unit = {
       maskBatch = batchId
       maskFrom = w0
-      val from  = batchId * LookaheadBlocks + 64 * w0
+      val first = batchId * LookaheadBlocks
+      val from  = first + 64 * w0
       val words = batchWords - w0
+      // Blocks past the last are never marked; the mask saturates without them.
+      val blocksHere = math.min(LookaheadBlocks, numBlocks - first)
       java.util.Arrays.fill(mask, w0, batchWords, 0L)
+      var saturated = false
       var i = 0
-      while (i < numActive) {
+      while (i < numActive && !saturated) {
         java.util.Arrays.fill(tmpWords, 0, words, -1L)
         var c = 0
         while (c < numCols) {
@@ -165,8 +171,16 @@ object Engine {
           bitmapProbes += words
           c += 1
         }
+        var unmarked = 0L
         var w = 0
-        while (w < words) { mask(w0 + w) |= tmpWords(w); w += 1 }
+        while (w < words) {
+          val m    = mask(w0 + w) | tmpWords(w)
+          val left = blocksHere - 64 * (w0 + w)
+          mask(w0 + w) = m
+          unmarked |= ~m & (if (left >= 64) -1L else if (left > 0) (1L << left) - 1 else 0L)
+          w += 1
+        }
+        saturated = unmarked == 0L
         i += 1
       }
     }

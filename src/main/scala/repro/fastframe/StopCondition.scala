@@ -77,6 +77,45 @@ object StopCondition {
       */
     private[StopCondition] def sort(n: Int): Unit = mergeSort(0, n)
 
+    /** Of the first `n` listed slots, which must be in slot order, move the
+      * `k` first by (key, slot) to positions 0 until `k`, in that order, and
+      * leave the other `n - k` after them in no particular order: `sort(n)`
+      * up to the order of that tail. A bounded max-heap over positions
+      * 0 until `k` keeps this at O(n log k).
+      */
+    private[StopCondition] def selectFirst(n: Int, k: Int): Unit = {
+      var i = k / 2 - 1
+      while (i >= 0) { siftDown(i, k); i -= 1 }
+      i = k
+      while (i < n) {
+        if (before(order(i), order(0))) { swap(0, i); siftDown(0, k) }
+        i += 1
+      }
+      i = k - 1
+      while (i > 0) { swap(0, i); siftDown(0, i); i -= 1 }
+    }
+
+    /** Does slot x come before slot y, by key and then by slot? */
+    private def before(x: Int, y: Int): Boolean = {
+      val c = java.lang.Double.compare(key(x), key(y))
+      c < 0 || (c == 0 && x < y)
+    }
+
+    private def swap(i: Int, j: Int): Unit = { val s = order(i); order(i) = order(j); order(j) = s }
+
+    /** Restore the max-heap over positions 0 until `size` below `i`. */
+    private def siftDown(i: Int, size: Int): Unit = {
+      var p = i
+      var c = 2 * p + 1
+      while (c < size) {
+        if (c + 1 < size && before(order(c), order(c + 1))) c += 1
+        if (!before(order(p), order(c))) return
+        swap(p, c)
+        p = c
+        c = 2 * p + 1
+      }
+    }
+
     private def mergeSort(from: Int, to: Int): Unit =
       if (to - from > 1) {
         val mid = (from + to) >>> 1
@@ -185,7 +224,9 @@ object StopCondition {
         scratch.setKey(g, if (largest) -t.mean(g) else t.mean(g))
         i += 1
       }
-      scratch.sort(n)
+      // Only the first K + 1 by estimate need their order: position K - 1
+      // and K give mid, and the loop below asks only "position < K?".
+      scratch.selectFirst(n, k + 1)
       val mid = (t.mean(scratch.at(k - 1)) + t.mean(scratch.at(k))) / 2
       // The top group's bound nearest the rest, and the rest's nearest the top.
       var topNear  = if (largest) Double.PositiveInfinity else Double.NegativeInfinity

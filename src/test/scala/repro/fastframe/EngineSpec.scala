@@ -258,6 +258,72 @@ class EngineSpec extends AnyFunSuite {
     }
   }
 
+  /** 2 600 blocks of 25 rows, so ActivePeek's last lookahead batch is
+    * partial (552 blocks). Column d's code 0 is in every block (7 rows in
+    * 10); column s is background code 0 plus three codes in about 1 row in
+    * 200 each, whose blocks never cover the relation.
+    */
+  private lazy val wide: Scramble = {
+    val n      = 2600 * 25
+    val rng    = new Random(77L)
+    val dCodes = Array.fill(n)(if (rng.nextDouble() < 0.7) 0 else 1 + rng.nextInt(3))
+    val sCodes = Array.fill(n)(if (rng.nextDouble() < 0.985) 0 else 1 + rng.nextInt(3))
+    val sMeans = Array(-4.0, 3.0, 3.5, 6.0)
+    val v      = Array.tabulate(n)(i => dCodes(i) + sMeans(sCodes(i)) + rng.nextGaussian())
+    val store  = new ColumnStore(
+      cats = Map(
+        "d" -> CatColumn("d", dCodes, Array("d0", "d1", "d2", "d3")),
+        "s" -> CatColumn("s", sCodes, Array("s0", "s1", "s2", "s3"))),
+      nums = Map("v" -> NumColumn("v", v)))
+    Scramble.fromStore(store, blockSize = 25, seed = 9L)
+  }
+
+  /** Start blocks: the first, mid-batch, and in the last word of the partial batch. */
+  private val wideStarts = Seq(0, 1500, 2590)
+
+  private def outcome(r: QueryRun) = (
+    r.results.map { x =>
+      val b = x.bounds
+      (x.key, b.gid, b.m, b.exact, java.lang.Double.doubleToRawLongBits(b.mean),
+        java.lang.Double.doubleToRawLongBits(b.iv.lo), java.lang.Double.doubleToRawLongBits(b.iv.hi))
+    },
+    r.metrics.blocksFetched, r.metrics.rowsProcessed, r.metrics.rounds)
+
+  test("ActivePeek's saturating mask fetches ActiveSync's blocks, with identical answers") {
+    assert(wide.numBlocks === 2600)
+    val queries = Seq(
+      FrameQuery("dense-all", "v", Predicate.True, Seq("d"), StopCondition.DesiredSamples(Long.MaxValue)),
+      FrameQuery("dense-thr", "v", Predicate.True, Seq("d"), StopCondition.ThresholdSide(1.5)),
+      FrameQuery("dense-top", "v", Predicate.True, Seq("d"), StopCondition.TopKSeparated(1, largest = false)),
+      FrameQuery("sparse-thr", "v", Predicate.True, Seq("s"), StopCondition.ThresholdSide(4.0)),
+      FrameQuery("both", "v", Predicate.True, Seq("d", "s"), StopCondition.ThresholdSide(4.0)))
+    for (q <- queries; start <- wideStarts) {
+      def go(st: Strategy) = Engine.run(wide, q, cfg(Bounders.BernsteinRT, st).copy(startBlock = start))
+      val peek = go(Strategy.ActivePeek)
+      assert(outcome(peek) === outcome(go(Strategy.ActiveSync)), s"${q.name} from $start")
+      if (q.name == "sparse-thr")
+        assert(peek.metrics.blocksFetched < wide.numBlocks, s"${q.name} from $start: the rare codes' mask skips blocks")
+    }
+  }
+
+  test("ActivePeek's mask stops at the first group once it holds every block, in the partial batch too") {
+    val d = wide.bitmap("d")
+    assert((0 until wide.numBlocks).forall(d.contains(0, _)), "d0 must be in every block")
+    val batchWords = Engine.LookaheadBlocks / 64
+    val numBatches = (wide.numBlocks + Engine.LookaheadBlocks - 1) / Engine.LookaheadBlocks
+    // Every view stays active for the whole pass, so the mask is built once
+    // per batch entered: each batch, and the start batch again on wrapping.
+    val q = FrameQuery("dense-all", "v", Predicate.True, Seq("d"), StopCondition.DesiredSamples(Long.MaxValue))
+    for (start <- wideStarts) {
+      val run    = Engine.run(wide, q, cfg(Bounders.BernsteinRT, Strategy.ActivePeek).copy(startBlock = start))
+      val builds = numBatches + (if (start % Engine.LookaheadBlocks == 0) 0 else 1)
+      assert(run.metrics.blocksFetched === wide.numBlocks)
+      // One view's words per build, where all 4 active views' would be ANDed
+      // without saturation: every build, the partial batch's too, stops after d0.
+      assert(run.metrics.bitmapProbes === builds.toLong * batchWords, s"from $start")
+    }
+  }
+
   test("a group domain past the cap is rejected, not wrapped") {
     // 65 536 × 65 536 groups: the Int product wraps to 0.
     val dict  = Array.tabulate(65536)(i => s"k$i")

@@ -40,22 +40,32 @@ class StopConditionMarkSpec extends AnyFunSuite with PropertyChecks {
       View(m, v, lo, hi, exact = false)
     })
 
-  private val genCondition: Gen[StopCondition] = Gen.oneOf(
+  /** K for a table of `n` present slots: 1, 2 and 5 as the FLIGHTS
+    * queries use, and ⌊n/2⌋ and n − 1, the costliest selections of K + 1.
+    */
+  private def genK(n: Int): Gen[Int] = Gen.oneOf(1, 2, 5, math.max(1, n / 2), math.max(1, n - 1))
+
+  private def genCondition(n: Int): Gen[StopCondition] = Gen.oneOf(
     Gen.choose(1L, 6L).map(DesiredSamples(_)),
     Gen.oneOf(0.5, 1.0, 3.0).map(AbsoluteWidth(_)),
     Gen.oneOf(0.1, 0.5, 2.0).map(RelativeWidth(_)),
     Gen.oneOf(grid).map(ThresholdSide(_)),
-    Gen.zip(Gen.choose(1, 4), Gen.oneOf(true, false)).map { case (k, l) => TopKSeparated(k, l) },
+    Gen.zip(genK(n), Gen.oneOf(true, false)).map { case (k, l) => TopKSeparated(k, l) },
     Gen.const(GroupsOrdered))
 
+  /** Mostly up to 10 slots; one table in four has up to 490 (about 450 present). */
   private val genTable: Gen[IndexedSeq[View]] =
-    Gen.choose(0, 10).flatMap(n => Gen.listOfN(n, genView)).map(_.toIndexedSeq)
+    Gen.frequency(3 -> Gen.choose(0, 10), 1 -> Gen.choose(11, MaxSlots))
+      .flatMap(n => Gen.listOfN(n, genView)).map(_.toIndexedSeq)
+
+  private val genCase: Gen[(StopCondition, IndexedSeq[View])] =
+    genTable.flatMap(views => genCondition(views.count(_.present)).map(c => (c, views)))
 
   test("mark flags exactly the reference's active set, for all six conditions") {
     val seen    = mutable.Set.empty[String]
-    val scratch = new Scratch(10)
-    val active  = new Array[Boolean](10)
-    forAll(genCondition, genTable) { (c, views) =>
+    val scratch = new Scratch(MaxSlots)
+    val active  = new Array[Boolean](MaxSlots)
+    forAll(genCase) { case (c, views) =>
       val snap = views.indices.filter(views(_).present).map { g =>
         val v = views(g)
         GroupBounds(g, v.m, v.mean, Interval(v.lo, v.hi), v.exact)
@@ -73,8 +83,14 @@ class StopConditionMarkSpec extends AnyFunSuite with PropertyChecks {
       c match {
         case TopKSeparated(k, largest) =>
           seen += s"largest=$largest"
-          if (snap.size <= k) seen += "n<=k"
-          if (snap.size == k + 1) seen += "n=k+1"
+          val n = snap.size
+          if (n <= k) seen += "n<=k"
+          if (n == k + 1) seen += "n=k+1"
+          if (n > 300) {
+            if (k == 1 || k == 2 || k == 5) seen += s"K=$k, n>300"
+            if (k == n / 2) seen += "K=n/2, n>300"
+            if (k == n - 1) seen += "K=n-1, n>300"
+          }
         case _ =>
       }
       val means = snap.map(_.mean)
@@ -87,8 +103,9 @@ class StopConditionMarkSpec extends AnyFunSuite with PropertyChecks {
     }
     val needed = Set("DesiredSamples", "AbsoluteWidth", "RelativeWidth", "ThresholdSide",
       "TopKSeparated", "GroupsOrdered", "largest=true", "largest=false", "n<=k", "n=k+1",
+      "K=1, n>300", "K=2, n>300", "K=5, n>300", "K=n/2, n>300", "K=n-1, n>300",
       "tied means", "±0.0", "exact", "absent", "m=0", "point")
-    assert(needed.diff(seen).isEmpty, "cases the generator never drew")
+    assert(needed.diff(seen).isEmpty, s"cases the generator never drew: ${needed.diff(seen)}")
   }
 
   test("mark over a 420-view ledger allocates nothing once warm") {
@@ -121,6 +138,8 @@ class StopConditionMarkSpec extends AnyFunSuite with PropertyChecks {
 }
 
 object StopConditionMarkSpec {
+
+  private val MaxSlots = 490
 
   /** One view slot's columns, as a [[ViewLedger]] would serve them. */
   private final case class View(m: Long, mean: Double, lo: Double, hi: Double, exact: Boolean) {

@@ -46,8 +46,10 @@ class FlightsQueriesSpec extends SparkSpec {
     * startBlock = 0): (blocksFetched, rowsProcessed, rounds, bitmapProbes).
     * Any change to what the engine fetches, how it probes the bitmaps or
     * when it recomputes moves these; a refactor must leave them as they are.
-    * ActivePeek's probes include rebuilding the rest of a lookahead batch
-    * whenever the active set changes mid-batch.
+    * ActivePeek's probes count the bitmap words ANDed per group column for
+    * each active group that a lookahead batch's mask takes in before it
+    * saturates (every block of the batch marked), including rebuilding
+    * the rest of the batch whenever the active set changes mid-batch.
     */
   private type Counters = Map[Strategy, Map[String, (Long, Long, Int, Long)]]
 
@@ -67,14 +69,14 @@ class FlightsQueriesSpec extends SparkSpec {
   private val pinnedCounters: Counters = Map(
     Strategy.ActivePeek -> Map(
       "F-q1" -> ((1189L, 29725L, 3, 1200L)),
-      "F-q2" -> ((1200L, 30000L, 3, 452L)),
-      "F-q3" -> ((1200L, 30000L, 3, 384L)),
+      "F-q2" -> ((1200L, 30000L, 3, 142L)),
+      "F-q3" -> ((1200L, 30000L, 3, 48L)),
       "F-q4" -> ((800L, 20000L, 2, 806L)),
-      "F-q5" -> ((1200L, 30000L, 3, 2140L)),
-      "F-q6" -> ((1200L, 30000L, 3, 26880L)),
-      "F-q7" -> ((926L, 23150L, 3, 1424L)),
-      "F-q8" -> ((1200L, 30000L, 3, 2494L)),
-      "F-q9" -> ((1200L, 30000L, 3, 384L))),
+      "F-q5" -> ((1200L, 30000L, 3, 164L)),
+      "F-q6" -> ((1200L, 30000L, 3, 3904L)),
+      "F-q7" -> ((926L, 23150L, 3, 1264L)),
+      "F-q8" -> ((1200L, 30000L, 3, 234L)),
+      "F-q9" -> ((1200L, 30000L, 3, 48L))),
     Strategy.ActiveSync -> Map(
       "F-q1" -> ((1189L, 29725L, 3, 1200L)),
       "F-q2" -> ((1200L, 30000L, 3, 1298L)),
@@ -105,14 +107,14 @@ class FlightsQueriesSpec extends SparkSpec {
   private val pinnedCountersModerateDelta: Counters = Map(
     Strategy.ActivePeek -> Map(
       "F-q1" -> ((720L, 18000L, 9, 726L)),
-      "F-q2" -> ((1193L, 29825L, 15, 913L)),
-      "F-q3" -> ((1200L, 30000L, 15, 384L)),
+      "F-q2" -> ((1193L, 29825L, 15, 387L)),
+      "F-q3" -> ((1200L, 30000L, 15, 48L)),
       "F-q4" -> ((240L, 6000L, 3, 242L)),
-      "F-q5" -> ((1200L, 30000L, 15, 5643L)),
-      "F-q6" -> ((1200L, 30000L, 15, 26880L)),
-      "F-q7" -> ((926L, 23150L, 12, 1424L)),
-      "F-q8" -> ((1200L, 30000L, 15, 4987L)),
-      "F-q9" -> ((1188L, 29700L, 15, 501L))),
+      "F-q5" -> ((1200L, 30000L, 15, 1142L)),
+      "F-q6" -> ((1200L, 30000L, 15, 3904L)),
+      "F-q7" -> ((926L, 23150L, 12, 1264L)),
+      "F-q8" -> ((1200L, 30000L, 15, 560L)),
+      "F-q9" -> ((1188L, 29700L, 15, 129L))),
     Strategy.ActiveSync -> Map(
       "F-q1" -> ((720L, 18000L, 9, 726L)),
       "F-q2" -> ((1193L, 29825L, 15, 1446L)),

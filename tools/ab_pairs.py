@@ -27,7 +27,12 @@ and pairs with a failed run, count for neither side) and a verdict:
   no gain     anything else
 
 It also prints whether each pair's `# counters:` lines (blocks, rows,
-rounds and bitmap probes per query) are identical.
+rounds and bitmap probes per query) are identical. Where they differ, it
+names each query and field that differs, with the parent's and the
+change's values, and it counts the pairs whose blocks, rows and rounds
+agree, so that a change that only probes the bitmaps differently reads
+as such. It exits with status 1 unless every pair completed with
+identical counters lines.
 """
 
 import argparse
@@ -66,13 +71,37 @@ def run_once(tree, workload, seed, seconds):
          "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, stdin=subprocess.DEVNULL)
     lines = proc.stdout.splitlines()
-    counters = next((l for l in lines if l.startswith("# counters: ")), None)
+    counters = next((l for l in lines if l.startswith(COUNTERS)), None)
     if proc.returncode != 0 or not lines:
         return None, counters, f"exit code {proc.returncode}: {proc.stderr.strip()[-300:]}"
     result = json.loads(lines[-1])
     if not result["correct"] or result["failed"]:
         return None, counters, f"correct={result['correct']} failed={result['failed']}"
     return {k: v["value"] for k, v in result["metrics"].items()}, counters, None
+
+
+COUNTERS = "# counters: "
+FETCHED = ("blocks", "rows", "rounds")
+
+
+def parse_counters(line):
+    """[(query, {field: value})] from a `# counters:` line, in its order."""
+    out = []
+    for entry in line[len(COUNTERS):].split("; "):
+        name, *fields = entry.split()
+        out.append((name, dict(f.split("=", 1) for f in fields)))
+    return out
+
+
+def counter_diffs(parent, change):
+    """(query, field, parent value, change value) for every counter that
+    differs between two `# counters:` lines, in the lines' order."""
+    p, c = parse_counters(parent), parse_counters(change)
+    if [q for q, _ in p] != [q for q, _ in c]:
+        return [("queries", "names", " ".join(q for q, _ in p), " ".join(q for q, _ in c))]
+    return [(q, f, pf.get(f), cf.get(f))
+            for (q, pf), (_, cf) in zip(p, c)
+            for f in dict.fromkeys([*pf, *cf]) if pf.get(f) != cf.get(f)]
 
 
 def quartiles(xs):
@@ -130,6 +159,12 @@ def main():
                 if err:
                     print(f"pair {i + 1} seed {seed} {side}: FAILED {err}", flush=True)
             runs.append(pair)
+            if pair["parent"]["counters"] and pair["change"]["counters"]:
+                diffs = counter_diffs(pair["parent"]["counters"], pair["change"]["counters"])
+                pair["fetched_same"] = not any(f in FETCHED or q == "queries" for q, f, _, _ in diffs)
+                if diffs:
+                    print(f"pair {i + 1} seed {seed} counters differ (parent -> change): " +
+                          "; ".join(f"{q} {f} {pv} -> {cv}" for q, f, pv, cv in diffs), flush=True)
             if all(pair[s]["metrics"] for s in sides):
                 cells = " ".join(f"{m['name']}={pair['parent']['metrics'][m['name']]:.4g}/"
                                  f"{pair['change']['metrics'][m['name']]:.4g}" for m in specs)
@@ -148,6 +183,8 @@ def main():
           f"({failed} with a failed run; failed runs: parent {fails['parent']}, "
           f"change {fails['change']}), {seconds:g} s runs, base {args.base}")
     print(f"# counters lines identical in {same} of {len(runs)} pairs")
+    print(f"# blocks/rows/rounds identical in {sum(1 for p in runs if p.get('fetched_same'))} "
+          f"of {len(runs)} pairs")
     if not done:
         sys.exit(1)
     row = "{:<20} {:<32} {:<32} {:>6} {:>6}  {}"
