@@ -54,17 +54,21 @@ trait ErrorBounder[S] extends Serializable {
   /** (1−δ) confidence *upper* bound on AVG(D). */
   def rbound(s: S, a: Double, b: Double, n: Long, delta: Double): Double
 
-  /** (1−δ) confidence interval: union bound over a (1−δ/2) lower and a
-    * (1−δ/2) upper confidence bound, clamped to the sure range [a, b]
+  /** The (1−δ/2) lower confidence bound, clamped to the sure range
     * (AVG(D) ∈ [a, b] with certainty, so clamping preserves coverage).
     */
-  final def interval(s: S, a: Double, b: Double, n: Long, delta: Double): Interval = {
-    val lo = math.max(a, lbound(s, a, b, n, delta / 2))
-    val hi = math.min(b, rbound(s, a, b, n, delta / 2))
-    // A degenerate crossing can only arise from clamping an empty/looser
-    // bound; collapse to the tighter consistent interval.
-    if (lo <= hi) Interval(lo, hi) else Interval(hi, lo)
-  }
+  final def lower(s: S, a: Double, b: Double, n: Long, delta: Double): Double =
+    math.max(a, lbound(s, a, b, n, delta / 2))
+
+  /** The (1−δ/2) upper confidence bound, clamped to the sure range. */
+  final def upper(s: S, a: Double, b: Double, n: Long, delta: Double): Double =
+    math.min(b, rbound(s, a, b, n, delta / 2))
+
+  /** (1−δ) confidence interval: union bound over [[lower]] and [[upper]].
+    * A crossed pair means one of them has failed; it fails the `Interval`.
+    */
+  final def interval(s: S, a: Double, b: Double, n: Long, delta: Double): Interval =
+    Interval(lower(s, a, b, n, delta), upper(s, a, b, n, delta))
 }
 
 /** Mixin for bounders whose state is [[MomentState]]; supplies the shared

@@ -31,8 +31,9 @@ final case class EngineConfig(
 /** The FastFrame query engine: approximate AVG with SSI error bounds and
   * early termination (paper §4). One run performs at most one full pass
   * over the scramble, starting from `cfg.startBlock` and wrapping; groups
-  * whose view is fully covered become exact. The δ accounting and the
-  * running intervals live in the [[ViewLedger]], one view per group.
+  * whose view is fully covered become exact. The δ accounting, the
+  * running intervals and the active set live in the [[ViewLedger]], one
+  * view per group, which ends each round ([[ViewLedger.endRound]]).
   */
 object Engine {
 
@@ -61,18 +62,10 @@ object Engine {
     val gMaps     = query.groupBy.map(scramble.bitmap).toArray
     val ledger    = new ViewLedger(numGroups, cfg.bounder, a, b, cfg.delta, totalRows)
 
-    // Activity / coverage bookkeeping (see DESIGN.md): a group's r for the
-    // selectivity bound is the number of scramble rows passed while it was
-    // active — those blocks were either fetched or provably view-empty.
-    val active       = Array.fill(numGroups)(true)
-    val activeSince  = new Array[Long](numGroups)
-    val accumCovered = new Array[Long](numGroups)
-    // The stop condition's verdict per view, and its sort space.
-    val wanted       = new Array[Boolean](numGroups)
-    val stopScratch  = new StopCondition.Scratch(numGroups)
     // The first numActive entries of activeList are the active gids in
     // order; activeCodes holds their per-column codes, numCols per gid
     // (bitmap probe targets). Rebuilt in place when the active set changes.
+    val active      = ledger.activeFlags
     val numCols     = codec.numCols
     val activeList  = new Array[Int](numGroups)
     val activeCodes = new Array[Int](math.multiplyExact(numGroups, numCols))
@@ -110,39 +103,15 @@ object Engine {
     var maskBatch  = -1
     var maskFrom   = 0
 
-    @inline def coveredOf(g: Int): Long =
-      accumCovered(g) + (if (active(g)) coveredAll - activeSince(g) else 0L)
-
-    /** Recompute bounds at a round boundary and re-derive the active set. */
+    /** End the round at `coveredAll` rows passed; rebuild the active list
+      * and the rest of the mask if the active set changed.
+      */
     def recompute(): Unit = {
-      ledger.nextRound()
-      var g = 0
-      while (g < numGroups) {
-        val r = coveredOf(g)
-        if (active(g) || r >= totalRows) ledger.update(g, r)
-        g += 1
-      }
-      query.stop.mark(ledger, wanted, stopScratch)
-      var changed = false
-      g = 0
-      while (g < numGroups) {
-        val shouldBeActive = wanted(g)
-        if (active(g) && !shouldBeActive) {
-          accumCovered(g) += coveredAll - activeSince(g)
-          active(g) = false
-          changed = true
-        } else if (!active(g) && shouldBeActive) {
-          activeSince(g) = coveredAll
-          active(g) = true
-          changed = true
-        }
-        g += 1
-      }
-      if (changed) {
+      if (ledger.endRound(coveredAll, query.stop)) {
         listActive()
         maskFrom = batchWords
       }
-      done = numActive == 0
+      done = ledger.numActive == 0
     }
 
     /** ActivePeek: mark the blocks of batch `batchId` from mask word `w0`
@@ -157,10 +126,10 @@ object Engine {
       maskFrom = w0
       val first = batchId * LookaheadBlocks
       val from  = first + 64 * w0
-      val words = batchWords - w0
-      // Blocks past the last are never marked; the mask saturates without them.
+      // Only the words that hold blocks: the last batch may be partial.
       val blocksHere = math.min(LookaheadBlocks, numBlocks - first)
-      java.util.Arrays.fill(mask, w0, batchWords, 0L)
+      val words      = (blocksHere + 63) / 64 - w0
+      java.util.Arrays.fill(mask, w0, w0 + words, 0L)
       var saturated = false
       var i = 0
       while (i < numActive && !saturated) {
@@ -177,7 +146,7 @@ object Engine {
           val m    = mask(w0 + w) | tmpWords(w)
           val left = blocksHere - 64 * (w0 + w)
           mask(w0 + w) = m
-          unmarked |= ~m & (if (left >= 64) -1L else if (left > 0) (1L << left) - 1 else 0L)
+          unmarked |= ~m & (if (left >= 64) -1L else (1L << left) - 1)
           w += 1
         }
         saturated = unmarked == 0L

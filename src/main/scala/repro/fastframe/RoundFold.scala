@@ -16,7 +16,7 @@ import java.util.concurrent.locks.LockSupport
   * of the sequential scan: only the order of the floating-point fold
   * differs from one row at a time.
   *
-  * @param active    per-view activity, fixed while a fold runs
+  * @param active    the ledger's per-view activity, fixed while a fold runs
   * @param capacity  most blocks listed between two folds
   */
 private[fastframe] final class RoundFold(

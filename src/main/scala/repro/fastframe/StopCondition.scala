@@ -53,7 +53,6 @@ object StopCondition {
     */
   final class Scratch(capacity: Int) {
     private val order = new Array[Int](capacity)
-    private val tmp   = new Array[Int](capacity)
     private val key   = new Array[Double](capacity)
 
     /** The present slots of `t` in slot order; returns their number. */
@@ -72,16 +71,11 @@ object StopCondition {
     /** The i-th listed slot. */
     private[StopCondition] def at(i: Int): Int = order(i)
 
-    /** Sort the first `n` listed slots by key (`java.lang.Double.compare`),
-      * stably: equal keys keep slot order.
-      */
-    private[StopCondition] def sort(n: Int): Unit = mergeSort(0, n)
-
-    /** Of the first `n` listed slots, which must be in slot order, move the
-      * `k` first by (key, slot) to positions 0 until `k`, in that order, and
-      * leave the other `n - k` after them in no particular order: `sort(n)`
-      * up to the order of that tail. A bounded max-heap over positions
-      * 0 until `k` keeps this at O(n log k).
+    /** Of the first `n` listed slots, move the `k` first by key
+      * (`java.lang.Double.compare`) and then by slot to positions
+      * 0 until `k`, in that order, and leave the other `n - k` after them
+      * in no particular order; `k = n` sorts them all. A bounded max-heap
+      * over positions 0 until `k` keeps this at O(n log k).
       */
     private[StopCondition] def selectFirst(n: Int, k: Int): Unit = {
       var i = k / 2 - 1
@@ -115,25 +109,6 @@ object StopCondition {
         c = 2 * p + 1
       }
     }
-
-    private def mergeSort(from: Int, to: Int): Unit =
-      if (to - from > 1) {
-        val mid = (from + to) >>> 1
-        mergeSort(from, mid)
-        mergeSort(mid, to)
-        if (java.lang.Double.compare(key(order(mid - 1)), key(order(mid))) > 0) {
-          var i = from
-          var j = mid
-          var k = from
-          while (k < to) {
-            if (j >= to || (i < mid && java.lang.Double.compare(key(order(i)), key(order(j))) <= 0)) {
-              tmp(k) = order(i); i += 1
-            } else { tmp(k) = order(j); j += 1 }
-            k += 1
-          }
-          System.arraycopy(tmp, from, order, from, to - from)
-        }
-      }
   }
 
   /** A snapshot as a table: slot i is `gs(i)`, and every slot is present. */
@@ -263,7 +238,7 @@ object StopCondition {
       if (n <= 1) return 0
       var i = 0
       while (i < n) { val g = scratch.at(i); scratch.setKey(g, t.lo(g)); i += 1 }
-      scratch.sort(n)
+      scratch.selectFirst(n, n)
       // Sorted by lo, interval i meets a later one iff it reaches the next
       // lo, and an earlier one iff the highest earlier hi reaches its lo.
       var count   = 0

@@ -15,6 +15,11 @@ import repro.core.{CountBound, Interval, MomentBounder, MomentState, OptStop}
   * δ-failure artifact) collapses to its midpoint, later rounds intersect
   * with that point, and the view is counted in [[crossedViews]].
   *
+  * The ledger also owns the active set (paper §4.3): every view starts
+  * active, and [[endRound]] runs one round of Algorithm 5 over it. A
+  * view's N⁺ counts the rows passed while it was active, since only
+  * those were sampled for it (fetched, or provably without its rows).
+  *
   * FastFrame folds rows into partial moment arrays of the same layout
   * ([[ViewLedger.fold]]) and merges them in with [[merge]]; engines that
   * aggregate elsewhere overwrite a view's moments with [[set]]. Stopping
@@ -40,6 +45,15 @@ final class ViewLedger(
   private val deltaPerView = delta / numViews
   private var deltaK       = 0.0
   private var round        = 0
+  // The active set; per view, the rows passed while it was active up to
+  // the last round's end, at lastCovered rows passed in all; the stop
+  // condition's verdict and its sort space.
+  private[fastframe] val activeFlags = Array.fill(numViews)(true)
+  private var numActiveViews         = numViews
+  private val coveredRows            = new Array[Long](numViews)
+  private var lastCovered            = 0L
+  private val wanted                 = new Array[Boolean](numViews)
+  private val scratch                = new StopCondition.Scratch(numViews)
 
   def m(g: Int): Long      = mom(5 * g).toLong
   def mean(g: Int): Double = mom(5 * g + 1)
@@ -60,8 +74,35 @@ final class ViewLedger(
     */
   def crossedViews: Int = numCrossed
 
+  /** Is view `g` still sampled? */
+  def active(g: Int): Boolean = activeFlags(g)
+
+  /** Views still sampled; the run is over when none is. */
+  def numActive: Int = numActiveViews
+
+  /** End a round once `covered` scramble rows have been passed in all:
+    * start round k, update every view that is active or has covered every
+    * row, and let `stop` decide which views stay active. Returns whether
+    * the active set changed.
+    */
+  def endRound(covered: Long, stop: StopCondition): Boolean = {
+    nextRound()
+    val step = covered - lastCovered
+    lastCovered = covered
+    var g = 0
+    while (g < numViews) {
+      if (activeFlags(g)) coveredRows(g) += step
+      if (activeFlags(g) || coveredRows(g) >= totalRows) update(g, coveredRows(g))
+      g += 1
+    }
+    numActiveViews = stop.mark(this, wanted, scratch)
+    val changed = !java.util.Arrays.equals(activeFlags, wanted)
+    System.arraycopy(wanted, 0, activeFlags, 0, numViews)
+    changed
+  }
+
   /** Start the next round k: δₖ for every view update until the next call. */
-  def nextRound(): Unit = {
+  private[fastframe] def nextRound(): Unit = {
     round += 1
     deltaK = OptStop.deltaAtRound(deltaPerView, round)
   }
@@ -107,16 +148,18 @@ final class ViewLedger(
 
   /** Fold this round's interval for view `g`, whose sample is the view's
     * rows among `r` scramble rows; `r` ≥ totalRows makes the view exact.
+    * A crossed pair of one-sided bounds is a crossing like any other.
     */
-  def update(g: Int, r: Long): Unit =
+  private[fastframe] def update(g: Int, r: Long): Unit =
     if (r >= totalRows) {
       isExact(g) = true
       if (m(g) > 0) { runLo(g) = mean(g); runHi(g) = mean(g) }
     } else {
       val nPlus = CountBound.nUpper(m(g), r, totalRows, deltaK, CountBound.DefaultAlpha)
-      val iv    = bounder.interval(stateOf(g), a, b, nPlus, CountBound.DefaultAlpha * deltaK)
-      runLo(g) = math.max(runLo(g), iv.lo)
-      runHi(g) = math.min(runHi(g), iv.hi)
+      val s     = stateOf(g)
+      val d     = CountBound.DefaultAlpha * deltaK
+      runLo(g) = math.max(runLo(g), bounder.lower(s, a, b, nPlus, d))
+      runHi(g) = math.min(runHi(g), bounder.upper(s, a, b, nPlus, d))
       if (runLo(g) > runHi(g)) {
         val mid = (runLo(g) + runHi(g)) / 2
         runLo(g) = mid; runHi(g) = mid

@@ -28,9 +28,17 @@ final case class OptStopSparkResult(
 /** The paper's Algorithm 5 rendered as distributed dataflow: each round
   * aggregates a scramble prefix twice the size of the last with the
   * [[MomentAggregator]] (one Spark group-by over sampled partitions), then
-  * the driver folds the per-group states into a [[ViewLedger]] — δₖ,
-  * the Theorem-3 online N⁺ and the running intersection — and stops as
-  * soon as the stopping condition holds.
+  * the driver sets the per-group states of the active views into a
+  * [[ViewLedger]] and ends the round there ([[ViewLedger.endRound]]: δₖ,
+  * the Theorem-3 online N⁺, the running intersection and the stopping
+  * condition's active set). The run stops once no view is active or the
+  * prefix is the whole scramble.
+  *
+  * As in FastFrame (paper §4.3), a view is sampled only while it is
+  * active: an inactive view keeps the m, mean and interval of the round
+  * it went inactive, and its N⁺ counts only the prefix rows added while
+  * it was active. A view that a top-K or ordering condition re-activates
+  * takes the state of the whole prefix again, which only loosens its N⁺.
   *
   * The ledger has `numViewsUpper` slots, one per view of the group domain;
   * groups get slots in first-seen order. Slots no prefix has reached yet
@@ -59,15 +67,12 @@ object OptStopSpark {
     val totalRows = scrambled.count()
     val ledger    = new ViewLedger(numViewsUpper, bounder, a, b, delta, totalRows)
     val slotOf    = mutable.LinkedHashMap.empty[Seq[String], Int]
-    val active    = new Array[Boolean](numViewsUpper)
-    val scratch   = new StopCondition.Scratch(numViewsUpper)
 
     var r        = math.min(initialPrefix, totalRows)
     var rowsRead = 0L
     var done     = false
 
     while (!done) {
-      ledger.nextRound()
       rowsRead += r
 
       val aggCol = CiAggregates.momentUdaf(F.col(valueCol)).as("state")
@@ -88,13 +93,11 @@ object OptStopSpark {
           st.getDouble(3), st.getDouble(4))
         require(s.min >= a && s.max <= b,
           s"group $key has value ${if (s.min < a) s.min else s.max} outside [a, b] = [$a, $b]")
-        ledger.set(slot, s)
+        if (ledger.active(slot)) ledger.set(slot, s)
       }
 
-      var g = 0
-      while (g < numViewsUpper) { ledger.update(g, r); g += 1 }
-
-      done = r >= totalRows || stop.mark(ledger, active, scratch) == 0
+      ledger.endRound(r, stop)
+      done = r >= totalRows || ledger.numActive == 0
       if (!done) r = math.min(totalRows, 2 * r)
     }
 

@@ -309,18 +309,21 @@ class EngineSpec extends AnyFunSuite {
   test("ActivePeek's mask stops at the first group once it holds every block, in the partial batch too") {
     val d = wide.bitmap("d")
     assert((0 until wide.numBlocks).forall(d.contains(0, _)), "d0 must be in every block")
-    val batchWords = Engine.LookaheadBlocks / 64
     val numBatches = (wide.numBlocks + Engine.LookaheadBlocks - 1) / Engine.LookaheadBlocks
+    // Words holding blocks: 16 per full batch, 9 in the partial one.
+    def words(batch: Int) = (math.min(Engine.LookaheadBlocks, wide.numBlocks - batch * Engine.LookaheadBlocks) + 63) / 64
+    assert((0 until numBatches).map(words) === Seq(16, 16, 9))
     // Every view stays active for the whole pass, so the mask is built once
     // per batch entered: each batch, and the start batch again on wrapping.
     val q = FrameQuery("dense-all", "v", Predicate.True, Seq("d"), StopCondition.DesiredSamples(Long.MaxValue))
     for (start <- wideStarts) {
-      val run    = Engine.run(wide, q, cfg(Bounders.BernsteinRT, Strategy.ActivePeek).copy(startBlock = start))
-      val builds = numBatches + (if (start % Engine.LookaheadBlocks == 0) 0 else 1)
+      val run        = Engine.run(wide, q, cfg(Bounders.BernsteinRT, Strategy.ActivePeek).copy(startBlock = start))
+      val startBatch = start / Engine.LookaheadBlocks
+      val built      = (0 until numBatches) ++ (if (start % Engine.LookaheadBlocks == 0) Nil else Seq(startBatch))
       assert(run.metrics.blocksFetched === wide.numBlocks)
       // One view's words per build, where all 4 active views' would be ANDed
       // without saturation: every build, the partial batch's too, stops after d0.
-      assert(run.metrics.bitmapProbes === builds.toLong * batchWords, s"from $start")
+      assert(run.metrics.bitmapProbes === built.map(words).sum.toLong, s"from $start")
     }
   }
 

@@ -60,7 +60,7 @@ class ViewLedgerSpec extends AnyFunSuite with PropertyChecks {
   }
 
   test("a crossed intersection collapses to its midpoint and the collapse persists") {
-    // Bounds scripted per round; ErrorBounder.interval clamps them to [a, b].
+    // Bounds scripted per round; ErrorBounder.lower and upper clamp them to [a, b].
     val script = Iterator(Interval(5.0, 6.0), Interval(8.0, 9.0), Interval(1.0, 10.0), Interval(7.5, 9.0))
     var next   = Interval(0.0, 0.0)
     val bd = new MomentBounder {
@@ -78,6 +78,60 @@ class ViewLedgerSpec extends AnyFunSuite with PropertyChecks {
     assert(seen === List(Interval(5.0, 6.0), Interval(7.0, 7.0), Interval(7.0, 7.0), Interval(7.25, 7.25)))
     // Crossed twice, but one view: counted once.
     assert(ledger.crossedViews === 1)
+  }
+
+  test("a crossed pair of one-sided bounds is counted as a crossing, not swapped") {
+    val bd = new MomentBounder {
+      val name = "crossed"
+      def lbound(s: MomentState, a: Double, b: Double, n: Long, d: Double): Double = 6.0
+      def rbound(s: MomentState, a: Double, b: Double, n: Long, d: Double): Double = 4.0
+    }
+    val ledger = new ViewLedger(1, bd, 0.0, 10.0, 0.01, 1000L)
+    ledger.nextRound()
+    ledger.update(0, 10L)
+    assert(ledger.crossedViews === 1)
+    assert(ledger.interval(0) === Interval(5.0, 5.0))
+    assertThrows[IllegalArgumentException](bd.interval(MomentState.empty, 0.0, 10.0, 1000L, 0.01))
+  }
+
+  test("endRound bounds each view with the rows passed while it was active") {
+    // Bounds are [a, b]; the bounder records each call's (m, N⁺).
+    val calls = collection.mutable.ArrayBuffer.empty[(Long, Long)]
+    val bd = new MomentBounder {
+      val name = "recording"
+      def lbound(s: MomentState, a: Double, b: Double, n: Long, d: Double): Double = { calls += ((s.m, n)); a }
+      def rbound(s: MomentState, a: Double, b: Double, n: Long, d: Double): Double = b
+    }
+    val (delta, total) = (1e-3, 1000L)
+    val ledger = new ViewLedger(2, bd, 0.0, 10.0, delta, total)
+    val stop   = StopCondition.DesiredSamples(10)
+    def ofSize(m: Int, v: Double) = MomentState.of(Seq.fill(m)(v))
+    def nPlus(m: Long, r: Long, k: Int) =
+      CountBound.nUpper(m, r, total, OptStop.deltaAtRound(delta / 2, k), CountBound.DefaultAlpha)
+    // View 1 keeps 3 samples and stays active; view 0's sample size goes
+    // 5 → 20 (inactive) → 6 (active again) → 8.
+    ledger.set(1, ofSize(3, 2.0))
+    val rounds = Seq(
+      // (view 0's new state, rows passed, set changed, calls as (m, r))
+      (Some(ofSize(5, 1.0)), 100L, false, Seq(5L -> 100L, 3L -> 100L)),
+      (Some(ofSize(20, 1.0)), 300L, true, Seq(20L -> 300L, 3L -> 300L)),
+      (None, 600L, false, Seq(3L -> 600L)),
+      (Some(ofSize(6, 1.0)), 700L, true, Seq(3L -> 700L)),
+      // Active in rounds 1-2 (300 rows) and since round 4's end (200 rows).
+      (Some(ofSize(8, 1.0)), 900L, false, Seq(8L -> 500L, 3L -> 900L)),
+      // View 1 has covered every row; view 0 only 600 of them.
+      (None, 1000L, true, Seq(8L -> 600L)))
+    for (((st, covered, changed, expect), i) <- rounds.zipWithIndex) {
+      val k = i + 1
+      st.foreach(ledger.set(0, _))
+      calls.clear()
+      assert(ledger.endRound(covered, stop) === changed, s"round $k")
+      assert(calls === expect.map { case (m, r) => m -> nPlus(m, r, k) }, s"round $k")
+    }
+    assert(nPlus(8, 500, 5) !== nPlus(8, 900, 5))
+    assert(ledger.exact(1) && ledger.interval(1) === Interval(2.0, 2.0))
+    assert(!ledger.exact(0) && ledger.active(0) && !ledger.active(1))
+    assert(ledger.numActive === 1)
   }
 
   /** Partial moment arrays of `numViews` views, one per list of (view, value) pairs. */

@@ -108,6 +108,28 @@ class OptStopSparkSpec extends SparkSpec {
     assert(res.finalPrefix === n)
   }
 
+  test("a view is sampled only while it is active") {
+    // "far" (values 0-2) leaves ThresholdSide(50) after the first rounds;
+    // "near" (49 or 51, mean 50) stays active until the full read.
+    val n = 20000L
+    val even = col("id") % 2 === 0
+    val data = spark.range(n).select(
+      when(even, lit("far")).otherwise(lit("near")).as("g"),
+      when(even, (col("id") % 3).cast("double"))
+        .otherwise(when(col("id") % 4 === 1, lit(49.0)).otherwise(lit(51.0))).as("v"),
+      col("id").as(SparkScramble.PosCol))
+    val res = OptStopSpark.run(
+      data, "v", Seq("g"), Bounders.BernsteinRT, a = 0.0, b = 100.0,
+      delta = 1e-6, stop = StopCondition.ThresholdSide(50.0), numViewsUpper = 2, initialPrefix = 500)
+    assert(res.finalPrefix === n)
+    val far = res.groups.find(_.key == Seq("far")).get
+    val inFinalPrefix = data.filter(even && col(SparkScramble.PosCol) < res.finalPrefix).count()
+    assert(far.m < inFinalPrefix, s"far's m = ${far.m}")
+    val exactMean = data.filter(even).agg(avg("v")).head.getDouble(0)
+    assert(far.iv.contains(far.mean) && far.iv.contains(exactMean), s"${far.iv} vs ${far.mean}, $exactMean")
+    assert(far.iv.hi < 50.0 && !far.exact)
+  }
+
   test("a value above the caller's b fails loudly, naming the group") {
     val (a, b) = range
     val e = intercept[IllegalArgumentException](OptStopSpark.run(
