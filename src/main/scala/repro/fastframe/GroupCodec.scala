@@ -16,17 +16,25 @@ final class GroupCodec(scramble: Scramble, groupBy: Seq[String]) {
     n.toInt
   }
 
-  @inline def gidOf(row: Int): Int = {
-    var id = 0
-    var i  = 0
-    while (i < cols.length) { id = id * cards(i) + cols(i)(row); i += 1 }
-    id
+  /** Write the gid of row `sel(j)` to `out(j)` for j < `k`, one group
+    * column at a time.
+    */
+  def gidsInto(sel: Array[Int], k: Int, out: Array[Int]): Unit = {
+    java.util.Arrays.fill(out, 0, k, 0)
+    var i = 0
+    while (i < cols.length) {
+      val col  = cols(i)
+      val card = cards(i)
+      var j    = 0
+      while (j < k) { out(j) = out(j) * card + col(sel(j)); j += 1 }
+      i += 1
+    }
   }
 
   /** Number of group-by columns. */
   def numCols: Int = cards.length
 
-  /** Write the per-column codes of a gid (inverse of [[gidOf]]) to
+  /** Write the per-column codes of a gid (inverse of [[gidsInto]]) to
     * `out(off)` … `out(off + numCols - 1)`.
     */
   def codesInto(gid: Int, out: Array[Int], off: Int): Unit = {

@@ -28,7 +28,7 @@ object Predicate {
     case other   => Seq(other)
   }
 
-  /** Predicate compiled against a scramble: a per-row test plus an
+  /** Predicate compiled against a scramble: a row selection plus an
     * optional block-level prune test derived from CatEq conjuncts.
     */
   final class Compiled(scramble: Scramble, p: Predicate) {
@@ -49,18 +49,43 @@ object Predicate {
       case CatEq(col, value) => (scramble.bitmap(col), scramble.store.cat(col).codeOf(value))
     }.toArray
 
-    def rowPasses(row: Int): Boolean = {
+    /** Keep, in order, the first `k` rows of `sel` that pass every
+      * conjunct, one conjunct at a time and without a branch on the data;
+      * returns how many are kept.
+      */
+    def select(sel: Array[Int], k: Int): Int = {
+      var n = k
       var i = 0
       while (i < catCols.length) {
-        if (catCols(i)(row) != catCodes(i)) return false
+        val col  = catCols(i)
+        val code = catCodes(i)
+        var kept = 0
+        var j    = 0
+        while (j < n) {
+          val row = sel(j)
+          sel(kept) = row
+          kept += (if (col(row) == code) 1 else 0)
+          j += 1
+        }
+        n = kept
         i += 1
       }
       i = 0
       while (i < numCols.length) {
-        if (!(numCols(i)(row) > numThresholds(i))) return false
+        val col  = numCols(i)
+        val t    = numThresholds(i)
+        var kept = 0
+        var j    = 0
+        while (j < n) {
+          val row = sel(j)
+          sel(kept) = row
+          kept += (if (col(row) > t) 1 else 0)
+          j += 1
+        }
+        n = kept
         i += 1
       }
-      true
+      n
     }
 
     /** May block `blk` contain any matching row? (False ⇒ certainly not.) */

@@ -12,6 +12,9 @@ class ScrambleAndPredicateSpec extends AnyFunSuite {
       (blk * scr.blockSize, math.min(scr.numRows, (blk + 1) * scr.blockSize))
   }
 
+  /** Does `row` pass `p`? `select` over the one-row selection. */
+  private def passes(p: Predicate.Compiled)(row: Int): Boolean = p.select(Array(row), 1) == 1
+
   private def store(n: Int, seed: Long = 1L): ColumnStore = {
     val rng = new Random(seed)
     new ColumnStore(
@@ -81,21 +84,21 @@ class ScrambleAndPredicateSpec extends AnyFunSuite {
     val scr = Scramble.fromStore(store(100), 10, 9L)
     val p   = Predicate.compile(scr, Predicate.True)
     assert(!p.hasBlockPrunes)
-    assert((0 until 100).forall(p.rowPasses))
+    assert((0 until 100).forall(passes(p)))
   }
 
   test("CatEq predicate matches the reference filter") {
     val scr = Scramble.fromStore(store(400), 10, 9L)
     val p   = Predicate.compile(scr, Predicate.CatEq("g", "x"))
     val codes = scr.store.cat("g").codes
-    for (row <- 0 until 400) assert(p.rowPasses(row) === (codes(row) == 1))
+    for (row <- 0 until 400) assert(passes(p)(row) === (codes(row) == 1))
   }
 
   test("NumGt predicate matches the reference filter") {
     val scr = Scramble.fromStore(store(400), 10, 9L)
     val p   = Predicate.compile(scr, Predicate.NumGt("v", 0.0))
     val vals = scr.store.num("v").values
-    for (row <- 0 until 400) assert(p.rowPasses(row) === (vals(row) > 0.0))
+    for (row <- 0 until 400) assert(passes(p)(row) === (vals(row) > 0.0))
   }
 
   test("And predicate conjoins") {
@@ -105,7 +108,7 @@ class ScrambleAndPredicateSpec extends AnyFunSuite {
     val codes = scr.store.cat("g").codes
     val vals  = scr.store.num("v").values
     for (row <- 0 until 400)
-      assert(p.rowPasses(row) === (codes(row) == 1 && vals(row) > 0.0))
+      assert(passes(p)(row) === (codes(row) == 1 && vals(row) > 0.0))
   }
 
   test("block pruning is sound: a pruned block contains no matching row") {
@@ -114,7 +117,7 @@ class ScrambleAndPredicateSpec extends AnyFunSuite {
     assert(p.hasBlockPrunes)
     for (blk <- 0 until scr.numBlocks) {
       val (s, e) = scr.blockRows(blk)
-      val hasMatch = (s until e).exists(p.rowPasses)
+      val hasMatch = (s until e).exists(passes(p))
       if (!p.blockMayMatch(blk)) assert(!hasMatch)
       if (hasMatch) assert(p.blockMayMatch(blk))
     }

@@ -18,7 +18,9 @@ ratio of the medians, the pairs the change won out of all pairs run (ties,
 and pairs with a failed run, count for neither side) and a verdict:
 
   unresolved  either side's interquartile range is wider than the metric's
-              bound in BENCHMARK.json, relative to that side's median
+              bound in BENCHMARK.json, relative to that side's median; the
+              verdict names that side (parent, change or both) and its
+              IQR as a share of its median
   gain        the change won at least 9 of every 10 pairs run, the medians
               differ by more than the parent's interquartile range, and no
               more of the change's runs failed than of the parent's
@@ -112,14 +114,24 @@ def quartiles(xs):
     return q1, q2, q3
 
 
+def relative_iqr(q1, median, q3):
+    """Interquartile range as a share of the median's magnitude."""
+    return (q3 - q1) / abs(median) if median else float("inf")
+
+
 def verdict(spec, parent, change, wins, pairs, more_failures):
     """Verdict on one metric: its successful runs per side, the change's wins
-    over all `pairs` run, and whether more change runs failed than parent runs."""
+    over all `pairs` run, and whether more change runs failed than parent runs.
+    An unresolved verdict names the side (or sides) too spread to tell, with
+    that side's IQR as a share of its median against the bound."""
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
     bound = spec["bound"]
-    if p3 - p1 > bound * abs(pm) or c3 - c1 > bound * abs(cm):
-        return "unresolved"
+    wide = [f"{side} IQR {relative_iqr(q1, m, q3):.0%} of median"
+            for side, (q1, m, q3) in (("parent", (p1, pm, p3)), ("change", (c1, cm, c3)))
+            if q3 - q1 > bound * abs(m)]
+    if wide:
+        return f"unresolved: {', '.join(wide)} > bound {bound:.0%}"
     lower = spec["better"] == "lower"
     improved = cm < pm if lower else cm > pm
     if 10 * wins >= 9 * pairs and improved and abs(cm - pm) > p3 - p1 and not more_failures:
